@@ -144,8 +144,9 @@ fullgrid-resume-smoke:
 
 # fuzz smoke-runs the codec fuzz targets for a few seconds each (go test
 # accepts exactly one -fuzz pattern per invocation, hence one run per
-# target): the opcode varint codecs, the framed-trace stream decoder, and
-# the //schedlint: directive parser (malformed directives must parse into
+# target): the opcode varint codecs, the framed-trace stream decoder, the
+# cache hierarchy against its naive reference LRU model, and the
+# //schedlint: directive parser (malformed directives must parse into
 # findings, never panic or silently grant exemptions). Corpus additions
 # land under <pkg>/testdata/fuzz/.
 fuzz:
@@ -153,6 +154,7 @@ fuzz:
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzUvarintDecode$$' -fuzztime 5s
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzZigzagRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/dagtrace/ -run '^$$' -fuzz '^FuzzFramedDecode$$' -fuzztime 5s
+	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 5s
 	$(GO) test ./internal/runlog/ -run '^$$' -fuzz '^FuzzRunlogDecode$$' -fuzztime 5s
 	$(GO) test ./internal/lint/analysis/ -run '^$$' -fuzz '^FuzzDirective$$' -fuzztime 5s
 

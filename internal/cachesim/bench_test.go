@@ -48,3 +48,21 @@ func BenchmarkAccessRandom(b *testing.B) {
 		h.Access(int(x%32), int64(i), mem.Addr(mem.PageSize)+mem.Addr(x%span), false)
 	}
 }
+
+// BenchmarkAccessConflict measures the miss path's victim selection:
+// sixteen lines that share one L1 and one L2 set, touched in a cycle, so
+// under LRU every access misses both levels and evicts, and hits the L3.
+// The cycle walks across sets so the whole tag array stays in play.
+func BenchmarkAccessConflict(b *testing.B) {
+	d := machine.Xeon7560()
+	sp := mem.NewSpace(d.Links, d.Links)
+	h := New(d, sp)
+	l2 := h.CacheAt(2, 0)
+	stride := mem.Addr(l2.sets * 64) // same L1 and L2 set, distinct L3 sets
+	const lines = 2 * defaultAssoc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set := mem.Addr(i/lines%l2.sets) * 64
+		h.Access(0, int64(i), mem.Addr(mem.PageSize)+set+mem.Addr(i%lines)*stride, false)
+	}
+}

@@ -30,7 +30,16 @@ import (
 // defaultAssoc is the associativity used when a cache has at least that
 // many lines (8-way, matching the L1/L2/L3 organization of the Xeon 7560
 // closely enough for the experiments).
-const defaultAssoc = 8
+const defaultAssoc = 1 << wayShift
+
+// Every set occupies defaultAssoc slots of its cache's tag and dirty
+// arrays, so a way index splits into set (way>>wayShift) and way within
+// the set (way&wayMask) without a multiply. Only a cache of fewer than
+// defaultAssoc lines — a single set — leaves slots unused.
+const (
+	wayShift = 3
+	wayMask  = 1<<wayShift - 1
+)
 
 // Stats holds access counters for one cache.
 type Stats struct {
@@ -56,14 +65,23 @@ type Cache struct {
 	// set index be a mask instead of a modulo on the access fast path.
 	setMask uint64
 	setPow2 bool
-	// tags holds line+1 per way (0 = invalid), indexed set*assoc+way.
+	// tags holds line+1 per way (0 = invalid), indexed
+	// set<<wayShift | way.
 	tags []uint64
-	// stamps holds the LRU timestamp per way.
-	stamps []uint64
+	// recency holds one exact-LRU word per set: byte k is the way (within
+	// the set) of recency rank k, byte 0 the most recently used. Invalid
+	// ways always occupy the least-recent ranks, so the fill victim is the
+	// byte at lruShift; bytes at ranks >= assoc hold 0xff and never match
+	// a way.
+	recency []uint64
+	// fresh is the recency word of an empty set: ways in descending order,
+	// so cold fills take ways 0, 1, 2, ... in turn.
+	fresh    uint64
+	rankMask uint64 // the bytes of ranks 0..assoc-1
+	lruShift uint   // 8*(assoc-1)
 	// dirty marks written lines (write-back accounting at the outermost
 	// level).
 	dirty []bool
-	clock uint64
 
 	// Stats accumulates hit/miss counters; read via the Hierarchy helpers
 	// or directly in tests.
@@ -80,6 +98,8 @@ func log2u(x int64) uint {
 }
 
 // cacheGeom returns the set/associativity geometry for a size/block pair.
+// The associativity never exceeds defaultAssoc, which the one-byte-per-rank
+// recency word relies on.
 func cacheGeom(size, block int64) (sets, assoc int) {
 	lines := int(size / block)
 	assoc = defaultAssoc
@@ -93,12 +113,16 @@ func cacheGeom(size, block int64) (sets, assoc int) {
 	return sets, assoc
 }
 
-// init fills in a zero Cache. The tags/stamps/dirty slices are carved out
+// init fills in a zero Cache. The tags/recency/dirty slices are carved out
 // of shared backing arrays by the Hierarchy constructor (one allocation
 // per array for the whole tree instead of three per cache); standalone
 // construction via newCache allocates them directly.
-func (c *Cache) init(level, id int, size, block int64, tags, stamps []uint64, dirty []bool) {
+func (c *Cache) init(level, id int, size, block int64, tags, recency []uint64, dirty []bool) {
 	sets, assoc := cacheGeom(size, block)
+	fresh := ^uint64(0)
+	for k := 0; k < assoc; k++ {
+		fresh = fresh&^(0xff<<(8*k)) | uint64(assoc-1-k)<<(8*k)
+	}
 	*c = Cache{
 		Level:      level,
 		ID:         id,
@@ -108,16 +132,21 @@ func (c *Cache) init(level, id int, size, block int64, tags, stamps []uint64, di
 		setMask:    uint64(sets - 1),
 		setPow2:    sets&(sets-1) == 0,
 		tags:       tags,
-		stamps:     stamps,
+		recency:    recency,
+		fresh:      fresh,
+		rankMask:   1<<(8*assoc) - 1,
+		lruShift:   uint(8 * (assoc - 1)),
 		dirty:      dirty,
+	}
+	for s := range recency {
+		recency[s] = fresh
 	}
 }
 
 func newCache(level, id int, size, block int64) *Cache {
-	sets, assoc := cacheGeom(size, block)
-	ways := sets * assoc
+	sets, _ := cacheGeom(size, block)
 	c := new(Cache)
-	c.init(level, id, size, block, make([]uint64, ways), make([]uint64, ways), make([]bool, ways))
+	c.init(level, id, size, block, make([]uint64, sets<<wayShift), make([]uint64, sets), make([]bool, sets<<wayShift))
 	return c
 }
 
@@ -126,68 +155,95 @@ func (c *Cache) Lines() int { return c.sets * c.assoc }
 
 func (c *Cache) line(a mem.Addr) uint64 { return uint64(a) >> c.blockShift }
 
-// setBase returns the first way index of the set holding line ln.
-func (c *Cache) setBase(ln uint64) int {
+// setOf returns the index of the set holding line ln.
+func (c *Cache) setOf(ln uint64) int {
 	if c.setPow2 {
-		return int(ln&c.setMask) * c.assoc
+		return int(ln & c.setMask)
 	}
-	return int(ln%uint64(c.sets)) * c.assoc
+	return int(ln % uint64(c.sets))
 }
 
-// find is the fused probe+victim scan of the access fast path: one pass
-// over the set returns the way holding ln (victim -1), or way -1 plus the
-// way a fill of this set would evict. The victim is chosen exactly as fill
-// does — first invalid way, else the first way with the smallest LRU
-// stamp — and stays valid as long as the set is not modified in between,
-// which Hierarchy.Access guarantees (each cache appears once on a path and
+// find is the probe of the access fast path: it returns the way holding
+// ln (victim -1), or way -1 plus the way a fill of this set would evict —
+// the least-recently-used way, or an invalid one if the set has any. The
+// victim stays valid as long as the set is not modified in between, which
+// Hierarchy.Access guarantees (each cache appears once on a path and
 // nothing touches a missed cache between its probe and its fill).
 //
 //schedlint:hotpath
 func (c *Cache) find(ln uint64) (way, victim int) {
 	tag := ln + 1
-	base := c.setBase(ln)
-	// Hit scan first, free of victim bookkeeping: hits dominate and the
-	// set-sized slices let the compiler drop bounds checks.
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
+	s := c.setOf(ln)
+	base := s << wayShift
+	// The set-sized slice lets the compiler drop bounds checks.
+	for i, t := range c.tags[base : base+c.assoc] {
 		if t == tag {
 			return base + i, -1
 		}
 	}
-	// Miss: victim scan — first invalid way, else first-minimum LRU stamp,
-	// exactly like fill.
-	stamps := c.stamps[base : base+c.assoc]
-	victim = 0
-	oldest := stamps[0]
-	if tags[0] != 0 {
-		for i := 1; i < len(tags); i++ {
-			if tags[i] == 0 {
-				victim = i
-				break
-			}
-			if stamps[i] < oldest {
-				victim, oldest = i, stamps[i]
-			}
-		}
-	}
-	return -1, base + victim
+	return -1, base + int(c.recency[s]>>c.lruShift&0xff)
 }
 
 // findWay returns the way holding ln, or -1, without touching any state.
 func (c *Cache) findWay(ln uint64) int {
-	tag := ln + 1
-	base := c.setBase(ln)
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == tag {
-			return base + i
-		}
-	}
-	return -1
+	way, _ := c.find(ln)
+	return way
 }
 
-// fillAt installs the line containing a into the given victim way (as
-// returned by find), bypassing the victim rescan of fill. Semantics are
-// identical to fill called immediately after the missing probe.
+// touch makes way (as find returns it) the most recently used of its set.
+// Re-touching the MRU way — the common case — costs one load and one
+// compare; any other way takes the out-of-line promote.
+//
+//schedlint:hotpath
+func (c *Cache) touch(way int) {
+	if c.recency[way>>wayShift]&0xff != uint64(way&wayMask) {
+		c.promote(way)
+	}
+}
+
+// bytesOnes has 0x01 in every byte, the SWAR broadcast/borrow constant.
+const bytesOnes = 0x0101010101010101
+
+// rankBit returns 1<<(8*rank) for the rank of way w in recency word r.
+// The lowest byte of r equal to w is the lowest zero byte of r^w·ones,
+// which the classic has-zero-byte expression flags exactly (borrows only
+// ever create false flags above a true zero byte); z&-z isolates its flag.
+func rankBit(r, w uint64) uint64 {
+	x := r ^ w*bytesOnes
+	z := (x - bytesOnes) &^ x & (bytesOnes << 7)
+	return (z & -z) >> 7
+}
+
+// promote moves way to rank 0 of its set: ranks above its old one keep
+// their bytes, the ranks below move up one byte over it. It is kept out
+// of line so that touch stays small enough to inline into the access
+// paths.
+//
+//schedlint:hotpath
+//go:noinline
+func (c *Cache) promote(way int) {
+	r, w := &c.recency[way>>wayShift], uint64(way&wayMask)
+	b := rankBit(*r, w)
+	// At rank 7, b<<8 wraps to 0 and the mask keeps nothing, as it should.
+	*r = *r&^(b<<8-1) | (*r&(b-1))<<8 | w
+}
+
+// demote moves way to the least-recent rank of its set, shifting the ways
+// that were less recent up one rank: an invalidated way joins the invalid
+// ways at the LRU end.
+func (c *Cache) demote(way int) {
+	s, w := way>>wayShift, uint64(way&wayMask)
+	r := c.recency[s]
+	b := rankBit(r, w)
+	field := r & c.rankMask
+	below := field & (b - 1)
+	above := field >> 8 &^ (b - 1)
+	c.recency[s] = r&^field | below | above | w<<c.lruShift
+}
+
+// fillAt installs the line containing a into the given victim way, which
+// must be the one find returned for a missing probe of this line with the
+// set unchanged since, and makes it the set's most recently used way.
 //
 //schedlint:hotpath
 func (c *Cache) fillAt(a mem.Addr, write bool, victim int) (evicted mem.Addr, evictedDirty bool) {
@@ -198,146 +254,61 @@ func (c *Cache) fillAt(a mem.Addr, write bool, victim int) (evicted mem.Addr, ev
 			evictedDirty = true
 		}
 	}
-	c.clock++
 	c.tags[victim] = c.line(a) + 1
-	c.stamps[victim] = c.clock
 	c.dirty[victim] = write
-	return evicted, evictedDirty
-}
-
-// probe looks up the line containing a; on a hit it refreshes the LRU
-// stamp (marking the line dirty on a write) and returns true. It does not
-// modify the cache on a miss.
-func (c *Cache) probe(a mem.Addr, write bool) bool {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == ln {
-			c.clock++
-			c.stamps[base+w] = c.clock
-			if write {
-				c.dirty[base+w] = true
-			}
-			c.Stats.Hits++
-			return true
-		}
-	}
-	c.Stats.Misses++
-	return false
-}
-
-// markDirty sets the dirty bit of a's line if resident, without touching
-// LRU state or counters (used to propagate writes served by inner levels
-// to the outermost copy).
-func (c *Cache) markDirty(a mem.Addr) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == ln {
-			c.dirty[base+w] = true
-			return
-		}
-	}
-}
-
-// fill installs the line containing a, evicting the LRU way if the set is
-// full. It returns the evicted line's address (valid if evictedDirty) so
-// the hierarchy can account the write-back. fill must only be called after
-// a missing probe for the same line.
-func (c *Cache) fill(a mem.Addr, write bool) (evicted mem.Addr, evictedDirty bool) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	victim, oldest := base, c.stamps[base]
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.tags[i] == 0 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.stamps[i] < oldest {
-			victim, oldest = i, c.stamps[i]
-		}
-	}
-	if c.tags[victim] != 0 {
-		c.Stats.Evictions++
-		if c.dirty[victim] {
-			evicted = mem.Addr(c.tags[victim]-1) << c.blockShift
-			evictedDirty = true
-		}
-	}
-	c.clock++
-	c.tags[victim] = ln
-	c.stamps[victim] = c.clock
-	c.dirty[victim] = write
+	// The victim holds the LRU rank, so making it the MRU way rotates the
+	// ranks by one byte.
+	s := victim >> wayShift
+	r := c.recency[s]
+	c.recency[s] = r&^c.rankMask | r<<8&c.rankMask | uint64(victim&wayMask)
 	return evicted, evictedDirty
 }
 
 // invalidate removes a's line if resident (exclusive hierarchies move
 // lines rather than copy them), returning whether it was dirty.
 func (c *Cache) invalidate(a mem.Addr) (wasDirty bool) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == ln {
-			wasDirty = c.dirty[base+w]
-			c.tags[base+w] = 0
-			c.stamps[base+w] = 0
-			c.dirty[base+w] = false
-			return wasDirty
-		}
+	ln := c.line(a)
+	way := c.findWay(ln)
+	if way < 0 {
+		return false
 	}
-	return false
+	wasDirty = c.dirty[way]
+	c.tags[way] = 0
+	c.dirty[way] = false
+	c.demote(way)
+	return wasDirty
 }
 
 // insert installs a line with a given dirty state, returning any evicted
-// line (victim-cache insertion for exclusive hierarchies).
+// line (victim-cache insertion for exclusive hierarchies). A line already
+// resident — a copy another core's private cache evicted into this shared
+// one earlier — is merged rather than stored twice: it becomes the most
+// recently used, keeps any dirt and evicts nothing.
 func (c *Cache) insert(a mem.Addr, dirty bool) (evicted mem.Addr, evictedValid, evictedDirty bool) {
-	ln := c.line(a) + 1
-	set := int(c.line(a) % uint64(c.sets))
-	base := set * c.assoc
-	victim, oldest := base, c.stamps[base]
-	for w := 0; w < c.assoc; w++ {
-		i := base + w
-		if c.tags[i] == 0 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.stamps[i] < oldest {
-			victim, oldest = i, c.stamps[i]
-		}
+	ln := c.line(a)
+	way, victim := c.find(ln)
+	if way >= 0 {
+		c.dirty[way] = c.dirty[way] || dirty
+		c.touch(way)
+		return 0, false, false
 	}
 	if c.tags[victim] != 0 {
-		c.Stats.Evictions++
 		evicted = mem.Addr(c.tags[victim]-1) << c.blockShift
 		evictedValid = true
 		evictedDirty = c.dirty[victim]
 	}
-	c.clock++
-	c.tags[victim] = ln
-	c.stamps[victim] = c.clock
-	c.dirty[victim] = dirty
+	c.fillAt(a, dirty, victim)
 	return evicted, evictedValid, evictedDirty
 }
 
 // Reset invalidates all lines and zeroes the counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-		c.dirty[i] = false
-	}
-	c.clock = 0
+	c.Invalidate()
 	c.Stats = Stats{}
 }
 
-// Invalidate drops every resident line — tags, LRU stamps and dirty bits —
-// while preserving the hit/miss counters and the LRU clock. It models an
+// Invalidate drops every resident line — tags, recency order and dirty
+// bits — while preserving the hit/miss counters. It models an
 // interference event (fault.Flush) wiping cache contents mid-run: the
 // lost dirty lines are not written back, matching a co-tenant evicting
 // them through its own traffic whose bandwidth we do not account. Line
@@ -346,8 +317,10 @@ func (c *Cache) Reset() {
 func (c *Cache) Invalidate() {
 	for i := range c.tags {
 		c.tags[i] = 0
-		c.stamps[i] = 0
 		c.dirty[i] = false
+	}
+	for s := range c.recency {
+		c.recency[s] = c.fresh
 	}
 }
 
@@ -390,7 +363,7 @@ type Hierarchy struct {
 	// (leaf*nl+lvl)*memoWays + (line & memoMask).
 	memo []lineMemo
 	// victims[lvl] is per-Access scratch carrying the victim way found by
-	// the fused probe scan to the fill pass. Safe to share across workers:
+	// the probe to the fill pass. Safe to share across workers:
 	// the engine serializes all Access calls.
 	victims []int
 	// hitCost[lvl] caches Desc.Levels[lvl].HitCost.
@@ -428,7 +401,7 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 		lineService: desc.LineService,
 	}
 	// Count caches and ways first, then carve every cache struct and its
-	// tag/stamp/dirty arrays out of four shared backings: the whole tree
+	// tag/recency/dirty arrays out of four shared backings: the whole tree
 	// costs a constant number of allocations, not three per cache. Each
 	// carve is staggered by a growing multiple of stagger entries: sibling
 	// tag arrays are power-of-two sized (a 32KB/64B L1 is exactly 4KB of
@@ -437,28 +410,30 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 	// slowdown on random-access probes before the stagger.
 	const stagger = 8 // u64 entries = one 64B host line
 	nl := desc.NumLevels()
-	totalCaches, totalWays := 0, 0
+	totalCaches, totalWays, totalSets := 0, 0, 0
 	for lvl := 1; lvl < nl; lvl++ {
-		sets, assoc := cacheGeom(desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize)
+		sets, _ := cacheGeom(desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize)
 		totalCaches += desc.NodesAt(lvl)
-		totalWays += desc.NodesAt(lvl) * sets * assoc
+		totalWays += desc.NodesAt(lvl) * sets << wayShift
+		totalSets += desc.NodesAt(lvl) * sets
 	}
 	structs := make([]Cache, totalCaches)
 	tags := make([]uint64, totalWays+stagger*totalCaches)
-	stamps := make([]uint64, totalWays+stagger*totalCaches)
+	recency := make([]uint64, totalSets+stagger*totalCaches)
 	dirty := make([]bool, totalWays+stagger*totalCaches)
-	ci, wi := 0, 0
+	ci, wi, si := 0, 0, 0
 	for lvl := 1; lvl < nl; lvl++ {
 		n := desc.NodesAt(lvl)
 		h.levels[lvl] = make([]*Cache, n)
 		for id := 0; id < n; id++ {
 			c := &structs[ci]
 			ci++
-			sets, assoc := cacheGeom(desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize)
-			ways := sets * assoc
+			sets, _ := cacheGeom(desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize)
+			ways := sets << wayShift
 			c.init(lvl, id, desc.Levels[lvl].Size, desc.Levels[lvl].BlockSize,
-				tags[wi:wi+ways:wi+ways], stamps[wi:wi+ways:wi+ways], dirty[wi:wi+ways:wi+ways])
+				tags[wi:wi+ways:wi+ways], recency[si:si+sets:si+sets], dirty[wi:wi+ways:wi+ways])
 			wi += ways + stagger
+			si += sets + stagger
 			h.levels[lvl][id] = c
 		}
 	}
@@ -513,9 +488,8 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 	c := path[inner]
 	ln := uint64(a) >> c.blockShift
 	if m := &h.memo[(leaf*nl+inner)*memoWays+int(ln&memoMask)]; m.line == ln+1 && c.tags[m.way] == ln+1 {
-		w := m.way
-		c.clock++
-		c.stamps[w] = c.clock
+		w := int(m.way)
+		c.touch(w)
 		c.Stats.Hits++
 		if write {
 			c.dirty[w] = true
@@ -528,16 +502,15 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 		return h.hitCost[inner], inner
 	}
 
-	// Probe innermost (highest index) to outermost (level 1), one fused
-	// scan per level that yields either the hit way or the fill victim.
+	// Probe innermost (highest index) to outermost (level 1), one tag scan
+	// per level that yields either the hit way or the fill victim.
 	served := 0
 	for lvl := inner; lvl >= 1; lvl-- {
 		c := path[lvl]
 		ln := c.line(a)
 		way, victim := c.find(ln)
 		if way >= 0 {
-			c.clock++
-			c.stamps[way] = c.clock
+			c.touch(way)
 			if write {
 				c.dirty[way] = true
 			}

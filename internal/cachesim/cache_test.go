@@ -14,6 +14,31 @@ func flatHier(nCores int, cacheSize int64) (*Hierarchy, *mem.Space) {
 	return New(d, s), s
 }
 
+// probe looks up the line containing a the way Access probes one level:
+// a hit makes the line most recently used (dirty on a write) and counts a
+// hit; a miss counts a miss and changes nothing else.
+func (c *Cache) probe(a mem.Addr, write bool) bool {
+	ln := c.line(a)
+	way, _ := c.find(ln)
+	if way < 0 {
+		c.Stats.Misses++
+		return false
+	}
+	c.touch(way)
+	if write {
+		c.dirty[way] = true
+	}
+	c.Stats.Hits++
+	return true
+}
+
+// fill installs the line containing a into the victim way a missing probe
+// names, as Access's inclusive fill does.
+func (c *Cache) fill(a mem.Addr, write bool) (evicted mem.Addr, evictedDirty bool) {
+	_, victim := c.find(c.line(a))
+	return c.fillAt(a, write, victim)
+}
+
 func TestColdMissThenHit(t *testing.T) {
 	h, _ := flatHier(1, 1<<16)
 	a := mem.Addr(mem.PageSize)

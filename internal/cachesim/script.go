@@ -16,14 +16,14 @@ import (
 // with no per-op function-call overhead.
 //
 // Every state transition matches Access op for op: an innermost memo hit
-// refreshes the LRU stamp, counts a hit and propagates write dirt to the
-// outermost resident copy; a work op only spends cycles. The budget is
-// decremented after each op exactly where wctx.spend checks its chunk
-// budget, so callers observe boundaries on the same op as unscripted
-// execution. The cache's clock and hit counter accumulate in locals and
-// are flushed before every return; nothing else can touch this cache
-// while the run is in progress (the engine serializes accesses, and the
-// run's own hits never evict).
+// makes its way the set's most recently used, counts a hit and propagates
+// write dirt to the outermost resident copy; a work op only spends cycles.
+// The budget is decremented after each op exactly where wctx.spend checks
+// its chunk budget, so callers observe boundaries on the same op as
+// unscripted execution. The cache's hit counter accumulates in a local and
+// is flushed before every return; nothing else can touch this cache while
+// the run is in progress (the engine serializes accesses, and the run's
+// own hits never evict).
 //
 // miss reports why the run stopped: true means nip is a memo-missing
 // access, false means the budget ran out or the stream ended.
@@ -35,7 +35,6 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 	shift := c.blockShift
 	hit := h.hitCost[inner]
 	mbase := (leaf*h.nl + inner) * memoWays
-	clock := c.clock
 	markOuter := inner > 1
 	var hits int64
 	for ip < end {
@@ -67,9 +66,8 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 			if m.line != ln+1 || c.tags[m.way] != ln+1 {
 				break
 			}
-			w := m.way
-			clock++
-			c.stamps[w] = clock
+			w := int(m.way)
+			c.touch(w)
 			hits++
 			if tag == opcode.Write {
 				c.dirty[w] = true
@@ -84,12 +82,10 @@ func (h *Hierarchy) RunScript(leaf int, ops []byte, ip, end, prev, budget int64)
 		spent += cost
 		budget -= cost
 		if budget <= 0 {
-			c.clock = clock
 			c.Stats.Hits += hits
 			return ip, prev, spent, false
 		}
 	}
-	c.clock = clock
 	c.Stats.Hits += hits
 	return ip, prev, spent, ip < end
 }

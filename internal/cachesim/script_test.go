@@ -55,8 +55,9 @@ func buildScript(rng *xrand.Source, n int, span int64) ([]byte, []refOp) {
 // TestRunScriptMatchesAccess drives the same op stream through (a) the
 // plain per-op walk — Access for accesses, nothing for work — and (b) the
 // RunScript fast path with Access fallback, on two identical hierarchies,
-// and requires identical costs, counters and LRU state, across several
-// chunk budgets including ones that split runs mid-stream.
+// and requires identical costs, counters and LRU state (tags, dirty bits
+// and per-set recency words), across several chunk budgets including ones
+// that split runs mid-stream.
 func TestRunScriptMatchesAccess(t *testing.T) {
 	for _, budget := range []int64{1, 7, 64, 1 << 20} {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -138,12 +139,14 @@ func TestRunScriptMatchesAccess(t *testing.T) {
 					if ca.Stats != cb.Stats {
 						t.Fatalf("budget %d seed %d: L%d[%d] stats %+v != %+v", budget, seed, lvl, id, cb.Stats, ca.Stats)
 					}
-					if ca.clock != cb.clock {
-						t.Fatalf("budget %d seed %d: L%d[%d] clock %d != %d", budget, seed, lvl, id, cb.clock, ca.clock)
-					}
 					for i := range ca.tags {
-						if ca.tags[i] != cb.tags[i] || ca.stamps[i] != cb.stamps[i] || ca.dirty[i] != cb.dirty[i] {
+						if ca.tags[i] != cb.tags[i] || ca.dirty[i] != cb.dirty[i] {
 							t.Fatalf("budget %d seed %d: L%d[%d] way %d state diverged", budget, seed, lvl, id, i)
+						}
+					}
+					for s := range ca.recency {
+						if ca.recency[s] != cb.recency[s] {
+							t.Fatalf("budget %d seed %d: L%d[%d] set %d recency %#x != %#x", budget, seed, lvl, id, s, cb.recency[s], ca.recency[s])
 						}
 					}
 				}

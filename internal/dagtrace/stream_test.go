@@ -11,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/xrand"
 )
 
 // writeFramed records the standard test program, frames it to disk with
@@ -166,6 +167,72 @@ func TestStreamDetectsFrameCorruption(t *testing.T) {
 	}
 }
 
+// TestFrameSumKnownAnswer pins the on-disk checksum to the published
+// check values of its two halves (CRC-32C 0xE3069283, CRC-32/IEEE
+// 0xCBF43926 over "123456789"), so the format cannot drift silently.
+func TestFrameSumKnownAnswer(t *testing.T) {
+	if got, want := frameSum([]byte("123456789")), uint64(0xE3069283_CBF43926); got != want {
+		t.Fatalf("frameSum(\"123456789\") = %#x, want %#x", got, want)
+	}
+}
+
+// TestStreamDetectsEveryBitFlip is the detection property of the frame
+// checksums: every single-bit flip anywhere in a small trace's frame
+// region, and a sample of two-bit flips, must reach CheckResult as a
+// checksum error once the replay loads the damaged frame.
+func TestStreamDetectsEveryBitFlip(t *testing.T) {
+	tr := recordTestTrace(t, 32)
+	path := filepath.Join(t.TempDir(), "trace.dgts")
+	const frameSize = 64
+	if err := WriteFramed(tr, path, frameSize); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStream(bytes.NewReader(data), int64(len(data)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOff := st.dataOff
+	frameBits := 8 * (int64(len(data)) - dataOff)
+	if frameBits < 8*3*frameSize {
+		t.Fatalf("frame region of %d bits spans too few frames", frameBits)
+	}
+	// check flips the given bits of the frame region, then leases and
+	// releases every strand's script, which loads each frame through the
+	// window exactly as a replay does.
+	check := func(flips ...int64) {
+		t.Helper()
+		mut := append([]byte(nil), data...)
+		for _, bit := range flips {
+			mut[dataOff+bit/8] ^= 1 << (bit % 8)
+		}
+		st, err := NewStream(bytes.NewReader(mut), int64(len(mut)), 0)
+		if err != nil {
+			t.Fatalf("flips %v: frame damage rejected at open: %v", flips, err)
+		}
+		for i := range st.jobs {
+			ops, _, _ := st.jobs[i].Script()
+			st.jobs[i].ReleaseScript(ops)
+		}
+		if err := st.CheckResult(&sim.Result{}); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("flips %v: CheckResult = %v, want a checksum error", flips, err)
+		}
+	}
+	for bit := int64(0); bit < frameBits; bit++ {
+		check(bit)
+	}
+	rng := xrand.New(11)
+	for i := 0; i < 2000; i++ {
+		a, b := int64(rng.Intn(int(frameBits))), int64(rng.Intn(int(frameBits)))
+		if a != b {
+			check(a, b)
+		}
+	}
+}
+
 // TestStreamRejectsMetaCorruption flips bytes across the metadata block
 // and requires NewStream to reject each mutation (and never panic).
 func TestStreamRejectsMetaCorruption(t *testing.T) {
@@ -231,4 +298,28 @@ func FuzzFramedDecode(f *testing.F) {
 			return // frame corruption detected — fine
 		}
 	})
+}
+
+// BenchmarkReadFrame measures loading one default-size frame into the
+// window: the ReadAt copy plus its checksum verification, which the
+// window repeats every time an evicted frame is read again.
+func BenchmarkReadFrame(b *testing.B) {
+	const size = DefaultFrameSize
+	data := make([]byte, size)
+	rng := xrand.New(1)
+	for i := range data {
+		data[i] = byte(rng.Uint64())
+	}
+	st := &StreamTrace{
+		r: bytes.NewReader(data), frameSize: size, frameBuf: size, opBytes: size,
+		frameSums: []uint64{frameSum(data)},
+	}
+	buf := make([]byte, size)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.readFrame(0, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -21,6 +21,7 @@ package dagtrace
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -213,12 +214,20 @@ func (c *StreamCache) path(key string) string {
 // adoptDisk checks for a framed file left by a previous process and
 // validates its metadata before adopting it. A file that fails to parse
 // (truncated write, bit rot) is evicted so it cannot fail again,
-// counted in Stats.Corrupt, and the key falls back to re-recording.
-// Frame-body corruption deeper than the metadata checksum is caught at
-// replay time by the window's per-frame checksums.
+// counted in Stats.Corrupt, and the key falls back to re-recording. A
+// file in an older format version is evicted and re-recorded the same
+// way but is not counted as corrupt. Frame-body corruption deeper than
+// the metadata checksum is caught at replay time by the window's
+// per-frame checksums.
 func (c *StreamCache) adoptDisk(key string) (string, bool) {
 	p := c.path(key)
 	st, err := OpenStream(p, 0)
+	var verr *VersionError
+	if errors.As(err, &verr) {
+		fmt.Fprintf(os.Stderr, "dagtrace: evicting framed trace %s (key %q) for re-recording: %v\n", p, key, err)
+		os.Remove(p)
+		return "", false
+	}
 	if err != nil {
 		if !os.IsNotExist(err) {
 			fmt.Fprintf(os.Stderr, "dagtrace: evicting corrupt framed trace %s (key %q): %v\n", p, key, err)

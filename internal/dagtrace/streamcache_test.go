@@ -1,6 +1,8 @@
 package dagtrace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"strings"
@@ -156,6 +158,57 @@ func TestStreamCacheEvictsCorrupt(t *testing.T) {
 	}
 	if s := c.Stats(); s.Corrupt != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 corrupt and 1 miss", s)
+	}
+}
+
+// TestStreamCacheEvictsStaleVersion checks that a framed file from an
+// older format version is evicted and re-recorded without being counted
+// as corrupt: the format bump, not bit rot, made it unreadable.
+func TestStreamCacheEvictsStaleVersion(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewStreamCache(dir, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A version-2 header: magic, version, root 0, then zeroed counts.
+	old := make([]byte, streamHeaderLen+8)
+	copy(old, streamMagic)
+	binary.LittleEndian.PutUint32(old[4:], 2)
+	binary.LittleEndian.PutUint64(old[12:], uint64(len(old)))
+	_, err = NewStream(bytes.NewReader(old), int64(len(old)), 0)
+	var verr *VersionError
+	if !errors.As(err, &verr) || verr.Got != 2 || verr.Want != streamVersion {
+		t.Fatalf("v2 header: err = %v, want a *VersionError for v2", err)
+	}
+	if want := "stale framed-trace format v2 (want v3)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("v2 header: err = %q, want it to name %q", err, want)
+	}
+	p := c.path("k")
+	if err := os.WriteFile(p, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, shared, record, err := c.GetOrReserve("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !record || shared {
+		t.Fatalf("stale file: shared=%v record=%v, want false true", shared, record)
+	}
+	if _, err := os.Stat(p); !os.IsNotExist(err) {
+		t.Fatalf("stale file still on disk (stat err %v)", err)
+	}
+	if s := c.Stats(); s.Corrupt != 0 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want 0 corrupt and 1 miss", s)
+	}
+	if _, err := c.Fill("k", recordTestTrace(t, 64)); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewStreamCache(dir, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, record, err := c2.GetOrReserve("k"); record || err != nil {
+		t.Fatalf("re-recorded v3 file not adopted: record=%v err=%v", record, err)
 	}
 }
 
