@@ -77,16 +77,21 @@ cluster:
 
 # fullscale-smoke proves shard-count invariance through the CLI exactly
 # the way the CI job does: one ×4-scale grid cell streamed and sharded at
-# -shards 1 and -shards 2 must print identical fingerprint= lines.
+# -shards 1 and -shards 2 must print identical fingerprint= lines and
+# identical sim: lines — replay_wall comes from the unsharded replay that
+# runs concurrently with the sharded one, the rest from the sharded one.
 fullscale-smoke:
 	@mkdir -p bin
 	$(GO) run ./cmd/schedbench -experiment cell -profile x4 -kernel RRM -sched sb -shards 1 > bin/cell_s1.log
 	$(GO) run ./cmd/schedbench -experiment cell -profile x4 -kernel RRM -sched sb -shards 2 > bin/cell_s2.log
 	@f1=`grep -o 'fingerprint=[0-9a-f]*' bin/cell_s1.log`; \
 	f2=`grep -o 'fingerprint=[0-9a-f]*' bin/cell_s2.log`; \
+	s1=`grep 'sim: replay_wall=[0-9]* sharded_wall=[0-9]* l3_misses=[0-9]* stall=[0-9]*' bin/cell_s1.log`; \
+	s2=`grep 'sim: replay_wall=[0-9]* sharded_wall=[0-9]* l3_misses=[0-9]* stall=[0-9]*' bin/cell_s2.log`; \
 	echo "shards=1: $$f1"; echo "shards=2: $$f2"; \
-	test -n "$$f1" && test "$$f1" = "$$f2" \
-		&& echo "fullscale-smoke: fingerprints identical across shard counts"
+	echo "shards=1:$$s1"; echo "shards=2:$$s2"; \
+	test -n "$$f1" && test "$$f1" = "$$f2" && test -n "$$s1" && test "$$s1" = "$$s2" \
+		&& echo "fullscale-smoke: fingerprints and sim: lines identical across shard counts"
 
 # fullgrid-smoke proves the record-once grid contract through the CLI the
 # way the CI job does: a ×4-scale 2-scheduler × 2-bandwidth grid must

@@ -69,12 +69,12 @@ func main() {
 		kernel     = flag.String("kernel", "Quicksort", "cell experiment: kernel name (RRM|RRG|Quicksort|Samplesort|AwareSamplesort|Quad-Tree|MatMul)")
 		schedName  = flag.String("sched", "sb", "cell experiment: scheduler name")
 		shards     = flag.Int("shards", 1, "cell/fullgrid: host goroutines for each sharded replay (never changes results)")
-		window     = flag.Int64("replaywindow", 0, "cell/fullgrid: streamed-replay frame window in bytes (0 = default 16MB)")
+		window     = flag.Int64("replaywindow", 0, "cell/fullgrid: streamed-replay frame window in bytes, halved between the cell's two concurrent replays (0 = default 16MB)")
 		kernelsCSV = flag.String("kernels", "Quicksort,Samplesort,AwareSamplesort,Quad-Tree,MatMul", "fullgrid: comma-separated kernel names")
 		schedsCSV  = flag.String("scheds", "ws,pws,sb,sbd", "fullgrid: comma-separated scheduler names")
 		bandsCSV   = flag.String("bands", "4,1", "fullgrid: comma-separated DRAM link counts (Fig. 8 = all links, Fig. 9 = 1)")
-		gridWork   = flag.Int("gridworkers", 0, "fullgrid: concurrent cells (0 = GOMAXPROCS; never changes results)")
-		gridBudget = flag.Int64("gridbudget", 0, "fullgrid: shared decoder-memory budget in bytes across concurrent cells (0 = max(replaywindow, 16MB))")
+		gridWork   = flag.Int("gridworkers", 0, "fullgrid: concurrent cells (0 = GOMAXPROCS), capped at budget/1 MiB frame; never changes results")
+		gridBudget = flag.Int64("gridbudget", 0, "fullgrid: shared decoder-memory budget in bytes, split evenly across concurrent cells (0 = max(replaywindow, 16MB))")
 		runDir     = flag.String("rundir", "", "fullgrid: journal every cell outcome to this directory (crash-safe; recordings land in rundir/traces unless -tracecache is set)")
 		resume     = flag.Bool("resume", false, "fullgrid: continue the journal in -rundir, skipping completed cells bit-identically")
 		cellDL     = flag.Duration("celldeadline", 0, "fullgrid: host wall-clock watchdog per cell attempt, doubling per retry (0 = none)")

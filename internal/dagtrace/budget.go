@@ -9,6 +9,10 @@ package dagtrace
 // over its total, every window sheds frames down to its one-frame
 // minimum until the pressure clears.
 //
+// The grid sizes windows before any stream opens, splitting the total
+// evenly between concurrent cells, so their frame budgets fit in the
+// bucket together and only leases can push it over.
+//
 // Charges never block. A window must always be able to load the frame
 // its current strand needs and lease that strand's script, or replay
 // deadlocks; instead of making acquisition blocking (and proving N
@@ -69,22 +73,6 @@ func (b *Budget) credit(n int64) {
 	b.mu.Lock()
 	b.used -= n
 	b.mu.Unlock()
-}
-
-// Admit reports whether n more bytes fit in the bucket right now — the
-// grid supervisor's admission check before a cell opens its window. An
-// idle bucket admits any n (one cell must always be able to run,
-// whatever its window size), so admission can never wedge a grid: a
-// rejected cell is diverted to the degraded serialized path rather than
-// blocked, and runs once the windows holding the bucket's tokens drain.
-// A nil budget admits everything.
-func (b *Budget) Admit(n int64) bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used == 0 || b.used+n <= b.total
 }
 
 // over reports whether the bucket is overdrawn — the signal for every

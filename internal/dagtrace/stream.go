@@ -436,6 +436,11 @@ func (t *StreamTrace) CheckResult(res *sim.Result) error {
 	return nil
 }
 
+// Err returns the first frame I/O or corruption error any replay through
+// the stream hit, or nil. CheckResult reports it too; Err serves replays
+// that end in something other than one sim.Result, like the sharded one.
+func (t *StreamTrace) Err() error { return t.win.fetchErr() }
+
 // Fingerprint returns the same canonical content hash Trace.Fingerprint
 // computes, streaming the op bytes through the hash one frame at a time.
 // WriteFramed followed by NewStream preserves the fingerprint bit for bit.

@@ -353,31 +353,6 @@ func TestStreamCacheQuarantine(t *testing.T) {
 	c.Fail("k", errors.New("cleanup"))
 }
 
-// TestBudgetAdmit pins the degraded-mode admission rule: an idle bucket
-// admits anything (one cell must always run), a busy bucket admits only
-// what fits, and nil admits everything.
-func TestBudgetAdmit(t *testing.T) {
-	var nilB *Budget
-	if !nilB.Admit(1 << 40) {
-		t.Fatal("nil budget rejected an admission")
-	}
-	b := NewBudget(1 << 10)
-	if !b.Admit(1 << 20) {
-		t.Fatal("idle bucket rejected an oversized admission (single cells must always run)")
-	}
-	b.charge(1 << 9)
-	if !b.Admit(1 << 8) {
-		t.Fatal("bucket rejected an admission that fits")
-	}
-	if b.Admit(1 << 10) {
-		t.Fatal("busy bucket admitted an overdraft")
-	}
-	b.credit(1 << 9)
-	if !b.Admit(1 << 20) {
-		t.Fatal("drained bucket rejected an admission")
-	}
-}
-
 // TestBudgetSharedAccounting replays two streams off one tiny shared
 // budget: the bucket must force both windows down under pressure, its
 // high-water mark must be visible, and after both streams close every

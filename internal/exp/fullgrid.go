@@ -11,8 +11,8 @@ package exp
 // (pinned by TestFullGridEquivalence).
 //
 // FullGridRun is the supervised entry point (journal, resume, deadline,
-// retries, degraded mode — see supervisor.go); FullGrid is the
-// unsupervised wrapper the smaller experiments and older callers use.
+// retries — see supervisor.go); FullGrid is the unsupervised wrapper the
+// smaller experiments and older callers use.
 
 import (
 	"context"
@@ -43,8 +43,8 @@ type FullGridReport struct {
 	Profile string
 	Machine string
 	Shards  int
-	Window  int64
-	Workers int
+	Window  int64 // every cell's decoder window, from splitBudget
+	Workers int   // cells run at once, from splitBudget
 
 	// Grid lists every grid point in input order; Cells holds the report
 	// at the same index, nil for a cell that did not finish (pending
@@ -60,15 +60,14 @@ type FullGridReport struct {
 	SharedCells int
 
 	// Supervisor outcome counters (see supervisor.go). Resumed cells were
-	// restored from the run journal; Retries/Quarantines/DegradedCells
-	// count this process's re-attempts, recording evictions and
-	// budget-diverted serialized cells; Abandoned counts watchdog-expired
-	// attempt goroutines still running when the grid gave up waiting.
-	Resumed       int
-	Retries       int
-	Quarantines   int
-	DegradedCells int
-	Abandoned     int
+	// restored from the run journal; Retries/Quarantines count this
+	// process's re-attempts and recording evictions; Abandoned counts
+	// watchdog-expired attempt goroutines still running when the grid gave
+	// up waiting.
+	Resumed     int
+	Retries     int
+	Quarantines int
+	Abandoned   int
 
 	// Partial marks an interrupted run (context canceled before every
 	// cell finished); Failed counts cells that exhausted their retries,
@@ -100,8 +99,9 @@ type FullGridReport struct {
 // a grid-lifetime temp cache): the first cell to arrive records under
 // FullRecordSched, everyone else blocks on the cache and replays the
 // same file. Every cell's decoder window draws on one shared budget of
-// r.GridBudget bytes, so grid peak decoder memory tracks a single
-// cell's rather than multiplying by the worker count. Cells skip the
+// r.GridBudget bytes, split evenly between the cells that run at once
+// (splitBudget), so grid peak decoder memory tracks a single cell's
+// rather than multiplying by the worker count. Cells skip the
 // unsharded full-machine replay (the cell experiment's cross-check);
 // their results come from the sharded per-socket replay, which is where
 // the full-scale numbers come from anyway.
@@ -112,8 +112,7 @@ func (r *Runner) FullGrid(kernels, schedNames []string, bands []int) (*FullGridR
 // FullGridRun is FullGrid under a run supervisor: with a RunDir every
 // cell outcome is journaled crash-safely and the run resumes (Resume)
 // skipping cells whose journaled inputs-fingerprint still matches;
-// CellDeadline/CellRetries bound and retry misbehaving cells; cells the
-// shared budget cannot admit run serialized with a shrunken window.
+// CellDeadline/CellRetries bound and retry misbehaving cells.
 // Canceling ctx drains gracefully: running cells finish (unless
 // abandoned by their deadline), pending cells stay pending, and the
 // partial report comes back wrapped in ErrGridInterrupted.
@@ -224,30 +223,11 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 		}
 	}
 	budget := dagtrace.NewBudget(budgetBytes)
-	window := r.ReplayWindow
-	if window <= 0 {
-		window = dagtrace.DefaultWindowBytes
-	}
-
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
 	rep := &FullGridReport{
 		Profile: r.P.Name, Machine: m.Name, Shards: r.Shards,
-		Window: r.ReplayWindow, Workers: workers,
 		Grid:        cells,
 		Cells:       make([]*FullCellReport, len(cells)),
 		BudgetBytes: budgetBytes,
-	}
-
-	sup := &gridSupervisor{
-		r: r, ctx: ctx, opts: opts, journal: journal,
-		cache: cache, budget: budget, m: m, window: window,
 	}
 
 	// Resume: restore completed cells from the journal. A stored report
@@ -278,6 +258,20 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 		pending = append(pending, i)
 	}
 
+	window := r.ReplayWindow
+	if window <= 0 {
+		window = dagtrace.DefaultWindowBytes
+	}
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	rep.Workers, rep.Window = splitBudget(budgetBytes, window, workers, len(pending))
+	sup := &gridSupervisor{
+		r: r, ctx: ctx, opts: opts, journal: journal,
+		cache: cache, budget: budget, m: m, window: rep.Window,
+	}
+
 	errs := make([]error, len(cells))
 	//schedlint:ignore nondeterminism host-side grid wall-clock for the report; simulated results never read it
 	t0 := time.Now()
@@ -286,7 +280,7 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 	// are not safe for concurrent use).
 	var outMu sync.Mutex
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < rep.Workers; w++ {
 		wg.Add(1)
 		//schedlint:ignore nondeterminism cell fan-out parallelism; each cell is a pure function of its inputs and results land at fixed indices
 		go func() {
@@ -399,7 +393,6 @@ dispatch:
 	}
 	rep.Retries = int(sup.retries.Load())
 	rep.Quarantines = int(sup.quarantines.Load())
-	rep.DegradedCells = int(sup.degraded.Load())
 	rep.PeakBudgetBytes = budget.PeakBytes()
 	if rep.Abandoned == 0 {
 		if leaked := budget.Used(); leaked != 0 {
@@ -437,6 +430,18 @@ dispatch:
 	return rep, nil
 }
 
+// splitBudget is the grid's decoder-memory rule: cells that replay at
+// the same time split the budget evenly, decided before any starts.
+// Workers get at least one frame each (the smallest window) and number
+// 1..cells; each cell's window is min(window, budget/workers).
+func splitBudget(budget, window int64, workers, cells int) (int, int64) {
+	if perFrame := budget / dagtrace.DefaultFrameSize; int64(workers) > perFrame {
+		workers = int(perFrame)
+	}
+	workers = max(1, min(workers, cells))
+	return workers, min(window, budget/int64(workers))
+}
+
 // Print renders per-cell reports, a Fig. 8/Fig. 9-style table per
 // bandwidth (sharded wall seconds and L3 misses per kernel × scheduler),
 // any failures, and the summary line the fullgrid-smoke CI job greps
@@ -446,8 +451,8 @@ func (rep *FullGridReport) Print(w io.Writer) {
 	if rep.Partial {
 		header = " PARTIAL"
 	}
-	fmt.Fprintf(w, "fullgrid%s profile=%s machine=%s cells=%d workers=%d shards=%d\n",
-		header, rep.Profile, rep.Machine, len(rep.Cells), rep.Workers, rep.Shards)
+	fmt.Fprintf(w, "fullgrid%s profile=%s machine=%s cells=%d workers=%d shards=%d window=%d\n",
+		header, rep.Profile, rep.Machine, len(rep.Cells), rep.Workers, rep.Shards, rep.Window)
 	for _, c := range rep.Cells {
 		if c == nil {
 			continue
@@ -462,9 +467,9 @@ func (rep *FullGridReport) Print(w io.Writer) {
 				f.Cell.Kernel, f.Cell.Scheduler, f.Cell.LinksUsed, f.Attempts, f.Error)
 		}
 	}
-	if rep.Resumed > 0 || rep.Retries > 0 || rep.Quarantines > 0 || rep.DegradedCells > 0 || rep.Abandoned > 0 || rep.Partial || rep.Failed > 0 {
-		fmt.Fprintf(w, "\n# supervisor: resumed=%d retried=%d quarantined=%d degraded=%d abandoned=%d failed=%d partial=%v\n",
-			rep.Resumed, rep.Retries, rep.Quarantines, rep.DegradedCells, rep.Abandoned, rep.Failed, rep.Partial)
+	if rep.Resumed > 0 || rep.Retries > 0 || rep.Quarantines > 0 || rep.Abandoned > 0 || rep.Partial || rep.Failed > 0 {
+		fmt.Fprintf(w, "\n# supervisor: resumed=%d retried=%d quarantined=%d abandoned=%d failed=%d partial=%v\n",
+			rep.Resumed, rep.Retries, rep.Quarantines, rep.Abandoned, rep.Failed, rep.Partial)
 	}
 	fmt.Fprintf(w, "\n# fullgrid: recordings=%d shared=%d grid_wall=%.1fs cell_sum=%.1fs budget=%d peak_budget_bytes=%d cache=[hits=%d misses=%d disk=%d corrupt=%d quarantined=%d]\n",
 		rep.Recordings, rep.SharedCells, rep.GridSec, rep.SumCellSec,
@@ -499,28 +504,6 @@ func (rep *FullGridReport) printTables(w io.Writer) {
 		}
 		if i < len(rep.Cells) && rep.Cells[i] != nil {
 			byCell[g] = rep.Cells[i]
-		}
-	}
-	// Older reports (and tests) may carry only Cells; fall back to the
-	// completed cells themselves for the axes.
-	if len(rep.Grid) == 0 {
-		for _, c := range rep.Cells {
-			if c == nil {
-				continue
-			}
-			if !kseen[c.Kernel] {
-				kseen[c.Kernel] = true
-				kernels = append(kernels, c.Kernel)
-			}
-			if !sseen[c.Scheduler] {
-				sseen[c.Scheduler] = true
-				scheds = append(scheds, c.Scheduler)
-			}
-			if !bseen[c.LinksUsed] {
-				bseen[c.LinksUsed] = true
-				bands = append(bands, c.LinksUsed)
-			}
-			byCell[GridCell{c.Kernel, c.Scheduler, c.LinksUsed}] = c
 		}
 	}
 	for _, b := range bands {

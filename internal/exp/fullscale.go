@@ -1,7 +1,7 @@
 package exp
 
 // Full-scale grid cells: record once, frame to disk, then replay through
-// the bounded window — unsharded on the full machine and sharded across
+// the bounded window — unsharded on the full machine while sharded across
 // per-socket simulations — so one Fig. 8 cell at the paper's real input
 // sizes (×1: 24MB L3, 100M-element-class inputs) completes in minutes
 // with decoder memory independent of the trace size.
@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/dagtrace"
@@ -100,7 +101,7 @@ type FullCellReport struct {
 	Machine   string
 	LinksUsed int // DRAM links in use (the Fig. 9 bandwidth knob)
 	Shards    int
-	Window    int64
+	Window    int64 // decoder window of each replay stream
 
 	// Trace shape.
 	Tasks, Strands uint64
@@ -116,11 +117,6 @@ type FullCellReport struct {
 	// Attempts is the attempt number that produced this report (1 = first
 	// try), counted across resumes of a journaled run.
 	Attempts int
-	// Degraded marks a cell run on the supervisor's degraded path —
-	// serialized, with a shrunken decoder window — because the shared
-	// budget could not admit another full window. Degraded execution
-	// never changes simulated results, only host memory and concurrency.
-	Degraded bool
 	// Resumed marks a report restored from a run journal rather than
 	// executed by this process; host timings are the original attempt's.
 	Resumed bool
@@ -128,10 +124,10 @@ type FullCellReport struct {
 	// Host wall-clock of each pipeline stage, in seconds.
 	RecordSec   float64 // live run + recording (0 when RecordShared)
 	WriteSec    float64 // framing to disk (0 when RecordShared)
-	ReplaySec   float64 // unsharded streamed replay, full machine
+	ReplaySec   float64 // unsharded streamed replay, full machine, overlapping ShardedSec
 	ShardedSec  float64 // sharded streamed replay (Shards goroutines)
 	PeakSysMB   float64 // runtime.MemStats.Sys after the replays
-	PeakWindowB int64   // decoder-resident high-water mark (window + leases)
+	PeakWindowB int64   // decoder-resident high-water marks (window + leases), summed over streams
 
 	// Simulated results.
 	ReplayWall  int64  // unsharded makespan, cycles (0 in grid cells)
@@ -149,7 +145,6 @@ type fullCellOpts struct {
 	budget    *dagtrace.Budget      // shared window budget (nil = per-stream only)
 	unsharded bool                  // also replay unsharded on the full machine
 	window    int64                 // decoder window override (0 = r.ReplayWindow)
-	degraded  bool                  // mark the report as degraded-mode execution
 }
 
 // framedKey is the grid cache identity of a kernel's framed recording:
@@ -183,9 +178,10 @@ func (r *Runner) fullRecord(mk KernelFactory, m *machine.Desc, seed uint64) (*da
 
 // FullCell runs one full-scale grid cell end to end: record the kernel
 // live on the profile's machine (under FullRecordSched), frame the trace
-// to disk, reopen it through a window of r.ReplayWindow bytes, replay it
-// unsharded on the full machine, then partition it and replay it sharded
-// over the machine's sockets on r.Shards host goroutines. The sharded
+// to disk, then replay it twice at once — unsharded on the full machine,
+// and partitioned and sharded over the machine's sockets on r.Shards
+// host goroutines — each replay through its own stream with half of
+// r.ReplayWindow. The sharded
 // fingerprint it reports is invariant under r.Shards; the driver's
 // fullscale-smoke CI job pins that by diffing two runs. When
 // r.FramedTraces is set the recording resolves through the shared grid
@@ -222,9 +218,15 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	if window == 0 {
 		window = r.ReplayWindow
 	}
+	if window <= 0 {
+		window = dagtrace.DefaultWindowBytes
+	}
+	if o.unsharded {
+		window /= 2 // two replays at once split the window, as in splitBudget
+	}
 	rep := &FullCellReport{
 		Kernel: kernel, Scheduler: schedName, Machine: m.Name,
-		LinksUsed: links, Shards: r.Shards, Window: window, Degraded: o.degraded,
+		LinksUsed: links, Shards: r.Shards, Window: window,
 	}
 
 	// Stage 1: resolve the framed recording — through the shared grid
@@ -292,8 +294,8 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 
 	// Stage 2: reopen through the bounded window, charging the shared grid
 	// budget when one is set. Window size bounds decoder memory only —
-	// simulated results are invariant under it, which is what makes the
-	// supervisor's shrunken-window degraded mode safe.
+	// simulated results are invariant under it, which is what lets the
+	// grid and the cell split their windows freely.
 	st, err := dagtrace.OpenStreamBudget(path, window, o.budget)
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale open: %w", err)
@@ -302,23 +304,40 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	rep.Tasks, rep.Strands = st.TaskCount, st.StrandCount
 	rep.OpBytes = st.OpBytes()
 
-	// Stage 3 (cell experiment only): unsharded replay on the full machine.
+	// Stage 3 (cell experiment only): unsharded replay on the full machine,
+	// overlapping stage 4, on its own stream (CheckResult's lease-leak
+	// check assumes one replay per window). The deferred Wait runs before
+	// the deferred Closes: every return path joins it before streams close.
+	var ust *dagtrace.StreamTrace
+	var unsharded sync.WaitGroup
+	var replayErr error
 	if o.unsharded {
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		t0 := time.Now()
-		rsp := mem.NewSpacePaged(m.Links, links, r.P.PageSize())
-		res, err := sim.Run(sim.Config{
-			Machine: m, Space: rsp, Scheduler: sched.New(schedName), Seed: seed,
-		}, st.Root())
-		if err != nil {
-			return nil, fmt.Errorf("exp: full-scale replay: %w", err)
+		if ust, err = dagtrace.OpenStreamBudget(path, window, o.budget); err != nil {
+			return nil, fmt.Errorf("exp: full-scale open: %w", err)
 		}
-		if err := st.CheckResult(res); err != nil {
-			return nil, fmt.Errorf("exp: full-scale replay: %w", err)
-		}
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		rep.ReplaySec = time.Since(t0).Seconds()
-		rep.ReplayWall = res.WallCycles
+		defer ust.Close()
+		unsharded.Add(1)
+		defer unsharded.Wait()
+		//schedlint:ignore nondeterminism stage overlap; each replay is a pure function of its stream and joined before its results are read
+		go func() {
+			defer unsharded.Done()
+			//schedlint:ignore nondeterminism host-side stage timing for the report
+			t0 := time.Now()
+			rsp := mem.NewSpacePaged(m.Links, links, r.P.PageSize())
+			res, err := sim.Run(sim.Config{
+				Machine: m, Space: rsp, Scheduler: sched.New(schedName), Seed: seed,
+			}, ust.Root())
+			if err == nil {
+				err = ust.CheckResult(res)
+			}
+			if err != nil {
+				replayErr = fmt.Errorf("exp: full-scale replay: %w", err)
+				return
+			}
+			//schedlint:ignore nondeterminism host-side stage timing for the report
+			rep.ReplaySec = time.Since(t0).Seconds()
+			rep.ReplayWall = res.WallCycles
+		}()
 	}
 
 	// Stage 4: partition and replay sharded over the machine's sockets.
@@ -341,6 +360,9 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 		PageSize:  r.P.PageSize(),
 		LinksUsed: links,
 	}, roots)
+	if err == nil {
+		err = st.Err()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale sharded replay: %w", err)
 	}
@@ -360,6 +382,13 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	}
 	rep.Fingerprint = sres.Fingerprint()
 	rep.PeakWindowB = st.PeakResidentBytes()
+	if ust != nil {
+		unsharded.Wait()
+		if replayErr != nil {
+			return nil, replayErr
+		}
+		rep.PeakWindowB += ust.PeakResidentBytes()
+	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rep.PeakSysMB = float64(ms.Sys) / (1 << 20)

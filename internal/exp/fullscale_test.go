@@ -2,7 +2,14 @@ package exp
 
 import (
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/dagtrace"
 )
 
 // TestFullScaleProfiles pins the scale arithmetic: x64 is Paper, and x1
@@ -63,13 +70,80 @@ func TestFullCellShardInvariance(t *testing.T) {
 			if rep.Fingerprint != prev.Fingerprint {
 				t.Errorf("sharded fingerprint changed between shards=1 and shards=%d", shards)
 			}
-			if rep.ShardedWall != prev.ShardedWall || rep.ReplayWall != prev.ReplayWall {
-				t.Errorf("simulated walls changed with shard count: %+v vs %+v", rep, prev)
+			if rep.ShardedWall != prev.ShardedWall || rep.L3Misses != prev.L3Misses || rep.StallCycles != prev.StallCycles {
+				t.Errorf("sharded results changed with shard count: %+v vs %+v", rep, prev)
+			}
+			// The unsharded replay runs concurrently with the sharded one,
+			// on its own stream; neither may reach the other's result.
+			if rep.ReplayWall != prev.ReplayWall {
+				t.Errorf("unsharded replay wall changed between shards=1 (%d) and shards=%d (%d)",
+					prev.ReplayWall, shards, rep.ReplayWall)
 			}
 		}
 		prev = rep
 	}
 	_ = base
+}
+
+// TestFullCellCorruptFrame flips one byte inside a frame of a cached
+// recording. The overlapped cell must return the checksum error only
+// once both replays have returned: no replay goroutine may outlive the
+// call, and both streams must be closed (the shared budget drains to
+// zero). A grid-style cell, which runs only the sharded replay, must
+// report the corruption too.
+func TestFullCellCorruptFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline cell")
+	}
+	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Quick(), io.Discard)
+	r.FramedTraces = cache
+	clean, err := r.FullCell("Quicksort", "sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(cache.Dir(), "*.dgts"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one cached recording, got %v (%v)", paths, err)
+	}
+	f, err := os.OpenFile(paths[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frames are the file's tail; flip a byte in the middle of them.
+	off := clean.TraceBytes - clean.OpBytes/2
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, unsharded := range []bool{true, false} {
+		base := runtime.NumGoroutine()
+		budget := dagtrace.NewBudget(0)
+		_, err := r.fullCell("Quicksort", "sb", fullCellOpts{cache: cache, budget: budget, unsharded: unsharded})
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("unsharded=%v: corrupt frame gave err=%v, want a checksum mismatch", unsharded, err)
+		}
+		// The call joined its replay before returning; allow the exiting
+		// goroutine a moment to be unscheduled, far less than a replay.
+		for i := 0; runtime.NumGoroutine() > base && i < 20; i++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("unsharded=%v: %d goroutines after the failed cell, %d before", unsharded, n, base)
+		}
+		if used := budget.Used(); used != 0 {
+			t.Errorf("unsharded=%v: %d budget bytes still charged after the failed cell (stream left open)", unsharded, used)
+		}
+	}
 }
 
 // TestFullCellRejectsUnknownNames covers the argument validation

@@ -21,11 +21,10 @@ package exp
 //     each attempt so a slow-but-sound cell eventually fits,
 //   - quarantine of the cell's shared framed recording between attempts
 //     (a replay failure may mean the recording itself is suspect;
-//     retrying against the same bytes would fail the same way),
-//   - degraded-mode execution when the shared decoder budget cannot
-//     admit another full window: the cell serializes behind a mutex and
-//     runs with a shrunken window instead of overdrafting the budget —
-//     safe because simulated results are window-invariant.
+//     retrying against the same bytes would fail the same way).
+//
+// Decoder memory needs no per-cell decision: every attempt opens its
+// window at the per-cell share splitBudget fixed before any cell started.
 
 import (
 	"context"
@@ -108,25 +107,15 @@ type GridCellFailure struct {
 // simulated results — the scheduler under test and the bandwidth.
 // Worker count, shard count, window and budget are deliberately absent:
 // results are pinned invariant under them (TestFullGridEquivalence and
-// the degraded-mode test), which is exactly what lets a resumed process
-// run with different host settings and still match bit-for-bit.
+// TestFullGridSplitWindowEquivalence), which is exactly what lets a
+// resumed process run with different host settings and still match
+// bit-for-bit.
 func (r *Runner) gridCellKey(c GridCell, m *machine.Desc) string {
 	return fmt.Sprintf("%s|cell:sched=%s,links=%d", r.framedKey(c.Kernel, m), c.Scheduler, c.LinksUsed)
 }
 
 func cellID(c GridCell) runlog.CellID {
 	return runlog.CellID{Kernel: c.Kernel, Sched: c.Scheduler, Links: c.LinksUsed}
-}
-
-// degradedWindow shrinks a cell's decoder window for the serialized
-// degraded path: a quarter of the normal window, floored at 1 MiB (the
-// stream clamps further up to one frame if needed).
-func degradedWindow(w int64) int64 {
-	w /= 4
-	if w < 1<<20 {
-		w = 1 << 20
-	}
-	return w
 }
 
 // gridSupervisor carries the per-run robustness state shared by the
@@ -139,10 +128,8 @@ type gridSupervisor struct {
 	cache   *dagtrace.StreamCache
 	budget  *dagtrace.Budget
 	m       *machine.Desc
-	window  int64 // the run's full decoder window (admission unit)
+	window  int64 // every cell's decoder window: the budget's per-worker share
 
-	// degradedMu serializes cells diverted to the degraded path.
-	degradedMu sync.Mutex
 	// abandoned tracks attempt goroutines that outlived their watchdog;
 	// liveAttempts counts the ones still running.
 	abandoned    sync.WaitGroup
@@ -153,7 +140,6 @@ type gridSupervisor struct {
 
 	retries     atomic.Int64
 	quarantines atomic.Int64
-	degraded    atomic.Int64
 }
 
 // log journals one record; a nil journal makes it a no-op.
@@ -199,7 +185,7 @@ func (s *gridSupervisor) runCell(c GridCell, key string, priorAttempts int) (*Fu
 		if err := s.log(&runlog.Record{Cell: cellID(c), Key: key, Status: runlog.StatusRunning, Attempt: attempt}); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
-		rep, degraded, err := s.attempt(c, attempt, deadline)
+		rep, err := s.attempt(c, attempt, deadline)
 		if err == nil {
 			rep.Attempts = attempt
 			payload, merr := json.Marshal(rep)
@@ -208,7 +194,7 @@ func (s *gridSupervisor) runCell(c GridCell, key string, priorAttempts int) (*Fu
 			}
 			if err := s.log(&runlog.Record{
 				Cell: cellID(c), Key: key, Status: runlog.StatusDone,
-				Attempt: attempt, Degraded: degraded, Report: payload,
+				Attempt: attempt, Report: payload,
 			}); err != nil {
 				return nil, fmt.Errorf("journal: %w", err)
 			}
@@ -244,32 +230,23 @@ func (s *gridSupervisor) runCell(c GridCell, key string, priorAttempts int) (*Fu
 	return nil, lastErr
 }
 
-// attempt runs one try of a cell, diverting to the degraded serialized
-// path when the shared budget cannot admit another full window, and
+// attempt runs one try of a cell at the run's per-cell window,
 // abandoning the try if it outlives the watchdog deadline. The attempt
 // goroutine is never killed — Go cannot preempt it safely — it keeps
 // running detached and its result is discarded; FullGridRun waits a
 // bounded grace for stragglers and reports the ones that never finished.
-func (s *gridSupervisor) attempt(c GridCell, attempt int, deadline time.Duration) (rep *FullCellReport, degraded bool, err error) {
-	run := func() (*FullCellReport, bool, error) {
-		o := fullCellOpts{linksUsed: c.LinksUsed, cache: s.cache, budget: s.budget}
-		if !s.budget.Admit(s.window) {
-			s.degraded.Add(1)
-			s.degradedMu.Lock()
-			defer s.degradedMu.Unlock()
-			o.window = degradedWindow(s.window)
-			o.degraded = true
-		}
-		r, err := s.r.fullCell(c.Kernel, c.Scheduler, o)
-		return r, o.degraded, err
+func (s *gridSupervisor) attempt(c GridCell, attempt int, deadline time.Duration) (*FullCellReport, error) {
+	run := func() (*FullCellReport, error) {
+		return s.r.fullCell(c.Kernel, c.Scheduler, fullCellOpts{
+			linksUsed: c.LinksUsed, cache: s.cache, budget: s.budget, window: s.window,
+		})
 	}
 	if deadline <= 0 {
 		return run()
 	}
 	type result struct {
-		rep      *FullCellReport
-		degraded bool
-		err      error
+		rep *FullCellReport
+		err error
 	}
 	ch := make(chan result, 1) // buffered: an abandoned attempt must not block sending
 	s.abandoned.Add(1)
@@ -278,16 +255,16 @@ func (s *gridSupervisor) attempt(c GridCell, attempt int, deadline time.Duration
 	go func() {
 		defer s.abandoned.Done()
 		defer s.liveAttempts.Add(-1)
-		rep, degraded, err := run()
-		ch <- result{rep, degraded, err}
+		rep, err := run()
+		ch <- result{rep, err}
 	}()
 	t := time.NewTimer(deadline)
 	defer t.Stop()
 	//schedlint:ignore nondeterminism host watchdog select; simulated results never depend on which case fires
 	select {
 	case res := <-ch:
-		return res.rep, res.degraded, res.err
+		return res.rep, res.err
 	case <-t.C:
-		return nil, false, &CellDeadlineError{Cell: c, Attempt: attempt, Deadline: deadline}
+		return nil, &CellDeadlineError{Cell: c, Attempt: attempt, Deadline: deadline}
 	}
 }

@@ -3,8 +3,12 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -197,51 +201,62 @@ func TestFullGridDeadlineRetry(t *testing.T) {
 	}
 }
 
-// TestDegradedWindowEquivalence pins the safety property degraded mode
-// rests on: replaying through the shrunken serialized-path window yields
-// bit-identical simulated results, and the report carries the Degraded
-// marker.
-func TestDegradedWindowEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full cell pipeline")
-	}
-	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newGridRunner(io.Discard)
-	r.FramedTraces = cache
-	normal, err := r.fullCell("Quicksort", "sb", fullCellOpts{linksUsed: 1, cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shrunk, err := r.fullCell("Quicksort", "sb", fullCellOpts{
-		linksUsed: 1, cache: cache, window: degradedWindow(r.ReplayWindow), degraded: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shrunk.Degraded || normal.Degraded {
-		t.Errorf("Degraded markers wrong: normal=%v shrunk=%v", normal.Degraded, shrunk.Degraded)
-	}
-	if shrunk.Window != degradedWindow(r.ReplayWindow) {
-		t.Errorf("degraded report window %d, want %d", shrunk.Window, degradedWindow(r.ReplayWindow))
-	}
-	if shrunk.Fingerprint != normal.Fingerprint || shrunk.ShardedWall != normal.ShardedWall {
-		t.Errorf("degraded window changed results: fp %s vs %s, wall %d vs %d",
-			shrunk.Fingerprint, normal.Fingerprint, shrunk.ShardedWall, normal.ShardedWall)
-	}
-	if w := degradedWindow(100); w != 1<<20 {
-		t.Errorf("degradedWindow(100)=%d, want the 1 MiB floor", w)
+// TestSplitBudget pins the grid's sizing rule: workers capped at one
+// frame of budget each and at the cell count (never below 1), and every
+// cell's window the smaller of the requested window and an even share.
+func TestSplitBudget(t *testing.T) {
+	const mib = int64(1 << 20)
+	for _, c := range []struct {
+		budget, window int64
+		workers, cells int
+		wantWorkers    int
+		wantWindow     int64
+	}{
+		{16 * mib, 16 * mib, 2, 4, 2, 8 * mib},    // the default x16 grid: two 8 MiB halves
+		{16 * mib, 4 * mib, 2, 4, 2, 4 * mib},     // window already under the share
+		{16 * mib, 16 * mib, 4, 2, 2, 8 * mib},    // more workers than cells
+		{16 * mib, 16 * mib, 32, 64, 16, 1 * mib}, // one frame per worker at most
+		{3 * mib, 16 * mib, 2, 4, 2, 3 * mib / 2},
+		{mib, 4 * mib, 2, 4, 1, mib}, // room for one frame: one worker
+		{1, 16 * mib, 2, 2, 1, 1},    // tiny budget: one worker, the stream clamps up to a frame
+		{16 * mib, 16 * mib, 2, 0, 1, 16 * mib},
+	} {
+		w, win := splitBudget(c.budget, c.window, c.workers, c.cells)
+		if w != c.wantWorkers || win != c.wantWindow {
+			t.Errorf("splitBudget(budget=%d, window=%d, workers=%d, cells=%d) = (%d, %d), want (%d, %d)",
+				c.budget, c.window, c.workers, c.cells, w, win, c.wantWorkers, c.wantWindow)
+		}
+		if c.budget >= dagtrace.DefaultFrameSize && int64(w)*win > c.budget {
+			t.Errorf("budget=%d: %d windows of %d overdraw the bucket", c.budget, w, win)
+		}
 	}
 }
 
-// TestFullGridTinyBudgetDegrades runs a multi-cell grid under a 1-byte
-// shared budget with concurrent workers: any cell arriving while another
-// holds tokens is diverted to the degraded serialized path. Whatever mix
-// of degraded and normal execution the race produces, results must match
-// the sequential references.
-func TestFullGridTinyBudgetDegrades(t *testing.T) {
+// gridReferences runs every cell of a one-kernel grid alone through
+// FullCellAt (the sequential reference) off the given cache.
+func gridReferences(t *testing.T, cache *dagtrace.StreamCache, kernel string, scheds []string, bands []int) map[GridCell]*FullCellReport {
+	t.Helper()
+	ref := newGridRunner(io.Discard)
+	ref.FramedTraces = cache
+	out := map[GridCell]*FullCellReport{}
+	for _, sn := range scheds {
+		for _, b := range bands {
+			want, err := ref.FullCellAt(kernel, sn, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[GridCell{kernel, sn, b}] = want
+		}
+	}
+	return out
+}
+
+// TestFullGridTinyBudgetOneWorker runs a grid under a 1-byte shared
+// budget with two workers requested: the split rule leaves room for one
+// frame at most, so the grid clamps to one worker. Results must match
+// the sequential references, and the grid's own drain check (an error
+// unless Budget.Used()==0 after the last cell) must pass.
+func TestFullGridTinyBudgetOneWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid pipeline")
 	}
@@ -253,24 +268,147 @@ func TestFullGridTinyBudgetDegrades(t *testing.T) {
 	r.Workers = 2
 	r.GridBudget = 1
 	r.FramedTraces = cache
-	rep, err := r.FullGrid([]string{"Quicksort"}, []string{"sb", "sbd"}, []int{1})
+	scheds := []string{"sb", "sbd"}
+	rep, err := r.FullGrid([]string{"Quicksort"}, scheds, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DegradedCells < 0 || rep.DegradedCells > len(rep.Cells) {
-		t.Fatalf("DegradedCells=%d out of range", rep.DegradedCells)
+	if rep.Workers != 1 {
+		t.Errorf("1-byte budget ran %d workers, want 1", rep.Workers)
 	}
-	ref := newGridRunner(io.Discard)
-	ref.FramedTraces = cache
+	refs := gridReferences(t, cache, "Quicksort", scheds, []int{1})
 	for _, c := range rep.Cells {
-		want, err := ref.FullCellAt(c.Kernel, c.Scheduler, c.LinksUsed)
-		if err != nil {
-			t.Fatal(err)
+		want := refs[GridCell{c.Kernel, c.Scheduler, c.LinksUsed}]
+		if c.Fingerprint != want.Fingerprint || c.ShardedWall != want.ShardedWall {
+			t.Errorf("cell %s/%s: grid fp %s wall %d != reference fp %s wall %d",
+				c.Kernel, c.Scheduler, c.Fingerprint, c.ShardedWall, want.Fingerprint, want.ShardedWall)
 		}
-		if c.Fingerprint != want.Fingerprint {
-			t.Errorf("cell %s/%s: grid fp %s != reference %s (degraded=%v)",
-				c.Kernel, c.Scheduler, c.Fingerprint, want.Fingerprint, c.Degraded)
+	}
+}
+
+// TestFullGridSplitWindowEquivalence runs two workers under a 16 MiB
+// budget with a 16 MiB window requested: both cells run at once, each
+// with an 8 MiB share, and every result matches the sequential
+// references replayed through the full window.
+func TestFullGridSplitWindowEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid pipeline")
+	}
+	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newGridRunner(io.Discard)
+	r.Workers = 2
+	r.GridBudget = 16 << 20
+	r.ReplayWindow = 16 << 20
+	r.FramedTraces = cache
+	scheds := []string{"sb", "sbd"}
+	rep, err := r.FullGrid([]string{"Quicksort"}, scheds, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const share = 8 << 20
+	if rep.Workers != 2 || rep.Window != share {
+		t.Errorf("grid ran workers=%d window=%d, want 2 and %d", rep.Workers, rep.Window, share)
+	}
+	refs := gridReferences(t, cache, "Quicksort", scheds, []int{1})
+	for _, c := range rep.Cells {
+		if c.Window != share {
+			t.Errorf("cell %s: window %d, want the %d share", c.Scheduler, c.Window, share)
 		}
+		want := refs[GridCell{c.Kernel, c.Scheduler, c.LinksUsed}]
+		if c.Fingerprint != want.Fingerprint || c.ShardedWall != want.ShardedWall {
+			t.Errorf("cell %s: split window fp %s wall %d != reference fp %s wall %d",
+				c.Scheduler, c.Fingerprint, c.ShardedWall, want.Fingerprint, want.ShardedWall)
+		}
+	}
+}
+
+// TestFullGridResumeOldJournal resumes a journal written before degraded
+// mode was removed: its done record carries "degraded":true and its
+// stored report "Degraded":true. Both fields are unknown now and must be
+// ignored — the cell is restored, and the rendered tables and
+// fingerprints equal an uninterrupted run's byte for byte.
+func TestFullGridResumeOldJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full grid pipeline")
+	}
+	kernels := []string{"Quicksort"}
+	scheds := []string{"sb", "sbd"}
+	bands := []int{1}
+	runDir := filepath.Join(t.TempDir(), "run")
+
+	// The uninterrupted reference, whose recording the resumed run adopts.
+	cache, err := dagtrace.NewStreamCache(filepath.Join(runDir, "traces"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rRef := newGridRunner(io.Discard)
+	rRef.FramedTraces = cache
+	ref, err := rRef.FullGrid(kernels, scheds, bands)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hand-write the journal: manifest, then one done record for the sb
+	// cell in the old wire format, checksum and all.
+	m := rRef.P.MachineHT()
+	man := &runlog.Manifest{
+		Version: runlog.Version, Profile: rRef.P.Name, Machine: m.Name, Seed: rRef.P.Seed,
+		Kernels: kernels, Scheds: scheds, Bands: bands, Cells: 2,
+	}
+	j, err := runlog.Create(runDir, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	var old map[string]any
+	stored, err := json.Marshal(ref.Cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(stored, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["Degraded"] = true
+	report, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(map[string]any{
+		"seq": 1, "cell": cellID(ref.Grid[0]), "key": rRef.gridCellKey(ref.Grid[0], m),
+		"status": "done", "attempt": 1, "degraded": true, "report": json.RawMessage(report),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(payload)
+	line := fmt.Sprintf("%016x %s\n", h.Sum64(), payload)
+	if err := os.WriteFile(filepath.Join(runDir, "cells.log"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newGridRunner(io.Discard)
+	rep, err := r.FullGridRun(context.Background(), kernels, scheds, bands, GridRunOpts{RunDir: runDir, Resume: true})
+	if err != nil {
+		t.Fatalf("resume of an old journal: %v", err)
+	}
+	if rep.Resumed != 1 || rep.Cells[0] == nil || !rep.Cells[0].Resumed {
+		t.Fatalf("old journal's done cell not restored: resumed=%d cell0=%+v", rep.Resumed, rep.Cells[0])
+	}
+	for i := range ref.Cells {
+		if rep.Cells[i].Fingerprint != ref.Cells[i].Fingerprint {
+			t.Errorf("cell %d: resumed fp %s != uninterrupted %s", i, rep.Cells[i].Fingerprint, ref.Cells[i].Fingerprint)
+		}
+	}
+	var gotTab, wantTab bytes.Buffer
+	rep.printTables(&gotTab)
+	ref.printTables(&wantTab)
+	if gotTab.String() != wantTab.String() {
+		t.Errorf("resumed tables differ from uninterrupted run:\n--- resumed\n%s--- uninterrupted\n%s",
+			gotTab.String(), wantTab.String())
 	}
 }
 

@@ -123,9 +123,6 @@ type Record struct {
 	// Quarantined marks a failed attempt that also evicted the cell's
 	// cached recording before the retry.
 	Quarantined bool `json:"quarantined,omitempty"`
-	// Degraded marks an attempt run in degraded mode (serialized, shrunken
-	// window) because the shared decoder budget could not admit it.
-	Degraded bool `json:"degraded,omitempty"`
 	// Report is the cell's result payload, for done records. The journal
 	// treats it as opaque bytes; the supervisor stores its cell report.
 	Report json.RawMessage `json:"report,omitempty"`
