@@ -60,12 +60,23 @@ bench-compare:
 # bench-replay gates the record/replay subsystem: the live-vs-replay
 # equivalence suite must actually run and pass (the grep rejects a log
 # where it was skipped or filtered away), and a quick Fig. 8 grid must
-# resolve at least half of its cells from the trace cache.
+# resolve at least half of its cells from the trace cache, recording
+# into bin/replay_tc. A second grid over the same directory must replay
+# every cell (-mintracehit 100), adopting recordings from disk, and
+# write a byte-identical fig8.csv.
 bench-replay:
 	@mkdir -p bin
 	$(GO) test ./internal/exp/ -run TestLiveReplayEquivalence -count=1 -v > bin/replay_equiv.log 2>&1 || { cat bin/replay_equiv.log; exit 1; }
 	grep -q -- "--- PASS: TestLiveReplayEquivalence" bin/replay_equiv.log
-	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -mintracehit 50
+	rm -rf bin/replay_tc bin/replay_cold bin/replay_warm
+	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/replay_tc -mintracehit 50 -csv bin/replay_cold
+	$(GO) run ./cmd/schedbench -profile quick -experiment fig8 -tracecache bin/replay_tc -mintracehit 100 -csv bin/replay_warm > bin/replay_warm.log \
+		|| { cat bin/replay_warm.log; exit 1; }
+	@grep '^# trace cache:' bin/replay_warm.log
+	@grep -Eq '^# trace cache: .*\([1-9][0-9]* from disk\)' bin/replay_warm.log \
+		|| { echo "bench-replay: the warm grid adopted no recording from disk"; exit 1; }
+	diff -u bin/replay_cold/fig8.csv bin/replay_warm/fig8.csv
+	@echo "bench-replay: warm grid replayed every cell from disk with an identical fig8.csv"
 
 # cluster gates the multi-machine serving subsystem: the determinism
 # suite (cluster-of-1 bit-identity, advance-order invariance, the pinned

@@ -63,7 +63,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print each cell as it completes")
 		csvDir     = flag.String("csv", "", "also write each figure's rows as CSV into this directory")
 		benchJSON  = flag.String("benchjson", "", "run the perf harness instead of experiments and write the report to this file (e.g. BENCH_sim.json)")
-		traceDir   = flag.String("tracecache", "", "spill recorded DAG traces to this directory and reload them across runs (empty = in-memory cache only)")
+		traceDir   = flag.String("tracecache", "", "record DAG traces as files in this directory and reload them across runs, in every experiment (empty = in memory; cell/fullgrid then record to a temporary directory)")
 		minHit     = flag.Float64("mintracehit", -1, "exit 1 if the trace-cache hit rate ends below this percentage (negative = no check)")
 		noTrace    = flag.Bool("notrace", false, "disable record/replay: execute every grid cell live")
 		kernel     = flag.String("kernel", "Quicksort", "cell experiment: kernel name (RRM|RRG|Quicksort|Samplesort|AwareSamplesort|Quad-Tree|MatMul)")
@@ -162,9 +162,6 @@ func main() {
 		if *noTrace {
 			fatalUsage("-notrace conflicts with -experiment fullgrid (sharing recordings is the point of the grid)")
 		}
-		if *minHit >= 0 {
-			fatalUsage("-mintracehit applies to the in-memory trace cache, which fullgrid does not use")
-		}
 	}
 
 	if *cpuProf != "" {
@@ -233,12 +230,12 @@ func main() {
 	r.Verbose = *verbose
 	r.Shards = *shards
 	r.ReplayWindow = *window
-	switch {
-	case *noTrace:
-		r.Traces = nil
-	case *traceDir != "":
-		r.Traces = dagtrace.NewCache(*traceDir)
+	traces, err := newTraces(*traceDir, *noTrace)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "schedbench: -tracecache: %v\n", err)
+		os.Exit(1)
 	}
+	r.Traces = traces
 	reportTraces := func() {
 		if r.Traces == nil {
 			return
@@ -316,16 +313,6 @@ func main() {
 			return nil
 		},
 		"fullgrid": func() error {
-			// The grid shares framed recordings on disk, not in-memory
-			// arena traces; silence the (unused) trace-cache report.
-			r.Traces = nil
-			if *traceDir != "" {
-				sc, err := dagtrace.NewStreamCache(*traceDir, 0)
-				if err != nil {
-					return err
-				}
-				r.FramedTraces = sc
-			}
 			r.Workers = *gridWork
 			r.GridBudget = *gridBudget
 			bands, err := parseBands(*bandsCSV)
@@ -399,6 +386,17 @@ func main() {
 		run(*experiment, f)
 	}
 	reportTraces()
+}
+
+// newTraces returns the trace cache of every experiment: none with
+// -notrace, files under dir with -tracecache, memory-only otherwise. A
+// directory that cannot be created is an error, which main reports
+// before any experiment starts instead of running without the files.
+func newTraces(dir string, noTrace bool) (*dagtrace.Cache, error) {
+	if noTrace {
+		return nil, nil
+	}
+	return dagtrace.NewCache(dir, 0)
 }
 
 // splitCSV splits a comma-separated flag value, trimming blanks.

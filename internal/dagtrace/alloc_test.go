@@ -1,11 +1,13 @@
 package dagtrace
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/job"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/opcode"
 	"repro/internal/xrand"
 )
 
@@ -42,11 +44,11 @@ func TestReplayOpsAllocFree(t *testing.T) {
 		case 0:
 			delta := int64(rng%65536) - 32768
 			addr += delta
-			ops = appendUvarint(ops, zigzag(delta)<<opTagBits|opRead)
+			ops = opcode.AppendUvarint(ops, opcode.Zigzag(delta)<<opcode.TagBits|opcode.Read)
 		case 1:
-			ops = appendUvarint(ops, zigzag(64)<<opTagBits|opWrite)
+			ops = opcode.AppendUvarint(ops, opcode.Zigzag(64)<<opcode.TagBits|opcode.Write)
 		case 2:
-			ops = appendUvarint(ops, uint64(rng%1000+1)<<opTagBits|opWork)
+			ops = opcode.AppendUvarint(ops, uint64(rng%1000+1)<<opcode.TagBits|opcode.Work)
 		}
 	}
 	sink := &opSink{}
@@ -59,17 +61,25 @@ func TestReplayOpsAllocFree(t *testing.T) {
 }
 
 // TestReplayJobRunAllocFree extends the guarantee to the full replayed
-// strand — decode plus the terminal fork over prebuilt child slices.
+// strand — script, decode, and the terminal fork over prebuilt child
+// slices — for a resident trace, whose Script borrows from the op stream,
+// and for a windowed one once its lease pool is warm.
 func TestReplayJobRunAllocFree(t *testing.T) {
 	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	sink := &opSink{}
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := range tr.jobs {
-			tr.jobs[i].Run(sink)
+	data, _ := recordBytes(t, m, "ws", 3, 512, 256)
+	for _, window := range []int64{math.MaxInt64, 1024} {
+		tr := openBytes(t, data, window)
+		if (tr.ops != nil) != (window == math.MaxInt64) {
+			t.Fatalf("window %d: resident=%v", window, tr.ops != nil)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("replayJob.Run allocates %.1f objects per run, want 0", allocs)
+		sink := &opSink{}
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := range tr.jobs {
+				tr.jobs[i].Run(sink)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("window %d: replayJob.Run allocates %.1f objects per run, want 0", window, allocs)
+		}
 	}
 }

@@ -1,17 +1,19 @@
 package dagtrace
 
 // Budget is a token bucket over decoder-resident op bytes, shared by the
-// frame windows of streams replaying concurrently (the full-scale grid
-// runs one StreamTrace per cell). Every byte a window holds — cached
-// frames and leased strand scripts alike — is charged here as well as
-// against the window's own budget, so N concurrent cells share one
-// memory high-water mark instead of multiplying it: once the bucket is
-// over its total, every window sheds frames down to its one-frame
-// minimum until the pressure clears.
+// traces replaying concurrently (the full-scale grid opens one Trace per
+// cell). Every byte a window holds — cached frames and leased strand
+// scripts alike — is charged here as well as against the window's own
+// budget, and a resident trace charges its whole op stream from open to
+// Close, so N concurrent cells share one memory high-water mark instead
+// of multiplying it: once the bucket is over its total, every window
+// sheds frames down to its one-frame minimum until the pressure clears.
 //
-// The grid sizes windows before any stream opens, splitting the total
+// The grid sizes windows before any trace opens, splitting the total
 // evenly between concurrent cells, so their frame budgets fit in the
-// bucket together and only leases can push it over.
+// bucket together and only leases can push it over. A trace is resident
+// only when its window covers the op stream, so a resident charge never
+// exceeds the window it replaces.
 //
 // Charges never block. A window must always be able to load the frame
 // its current strand needs and lease that strand's script, or replay

@@ -1,30 +1,48 @@
 package dagtrace
 
+// Cache is the single-flight store of recordings shared by the cells of
+// an experiment grid. One recording depends only on the computation key
+// (kernel, scale, seed, machine geometry — never the scheduler or
+// bandwidth under test), so an S-scheduler × B-bandwidth grid resolves K
+// kernel keys into K recordings instead of K·S·B: the first cell of a key
+// records straight into the key's trace file, every other cell blocks
+// until the recording lands and then replays it.
+//
+// With a directory, recordings are content-addressed files written
+// atomically (tmp + rename) and revalidated when a later process adopts
+// them. Without one, the cache is memory-only: recordings are trace files
+// held in memory, for the figure grids of a single process.
+
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Stats reports cache effectiveness. A Hit is a cell that replayed a trace
-// (from memory or disk) instead of executing kernel closures; a Miss is a
-// cell group that had to record; a Fallback is a key whose computation
-// recording rejected (ErrUnsupported), which runs live every time.
-// Corrupt counts spill files that failed to decode (truncated or
-// bit-rotted) and were evicted from disk; each also counts as a Miss,
-// since its cell falls back to re-recording.
+// Stats reports cache effectiveness. A Hit is a resolution that replays a
+// recording (from this process or adopted from disk) instead of executing
+// kernel closures; a Miss is a resolution that had to record; a Fallback
+// is a resolution whose recording failed or was rejected
+// (ErrUnsupported), which runs live instead. Corrupt counts trace files
+// that failed to validate (truncated or bit-rotted) and were evicted from
+// disk; each also counts as a Miss, since its cell falls back to
+// re-recording.
 type Stats struct {
 	Hits      int64
 	DiskHits  int64
 	Misses    int64
 	Fallbacks int64
 	Corrupt   int64
-	// Quarantined counts recordings evicted on suspicion by
-	// StreamCache.Quarantine (a failing grid cell distrusting its shared
-	// trace before a retry), as opposed to Corrupt's checksum failures.
+	// Quarantined counts recordings evicted on suspicion by Quarantine (a
+	// failing grid cell distrusting its shared trace before a retry), as
+	// opposed to Corrupt's checksum failures.
 	Quarantined int64
 }
 
@@ -37,13 +55,15 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is a single-flight trace store shared by the concurrent cells of
-// an experiment grid: the first goroutine to ask for a key becomes its
-// recorder, everyone else blocks until the recording (or its rejection)
-// lands. With a spill directory, successful recordings also persist across
-// processes.
+// Cache is a single-flight cache of recordings.
 type Cache struct {
-	dir string
+	dir       string // "" = memory-only
+	frameSize int64  // 0 = DefaultFrameSize
+
+	// create opens a reservation's temporary file, returning it and its
+	// name; tests inject failing writers to exercise the disk-full /
+	// I/O-error paths.
+	create func(path string) (io.WriteCloser, string, error)
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -51,30 +71,170 @@ type Cache struct {
 }
 
 type entry struct {
-	ready chan struct{} // closed by Fill
+	ready chan struct{} // closed when the reservation publishes
 	done  bool          // set under Cache.mu before ready closes
-	trace *Trace
+	rec   *Recording
 	err   error
 }
 
-// NewCache returns a cache spilling to dir, or memory-only when dir is
-// empty. The directory is created on demand; spill failures degrade to
-// memory-only behaviour rather than failing the experiment.
-func NewCache(dir string) *Cache {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			dir = ""
-		}
-	}
-	return &Cache{dir: dir, entries: make(map[string]*entry)}
+// WriteError is the typed failure of writing a recording to the cache's
+// directory — disk full, permissions, any I/O fault. The reservation's
+// waiters see it too, but the single-flight reservation itself is
+// released: a later GetOrReserve re-records instead of inheriting a
+// permanently wedged key.
+type WriteError struct {
+	Key  string // cache key of the recording
+	Path string // content-addressed destination file
+	Err  error  // underlying write failure
 }
 
-// GetOrReserve resolves key. Exactly one caller per key observes
-// record=true and MUST follow up with Fill (with a trace or an error);
-// every other caller blocks until that Fill and receives its outcome.
-// A non-nil error (typically ErrUnsupported) means the caller should run
-// live without a trace.
-func (c *Cache) GetOrReserve(key string) (t *Trace, record bool, err error) {
+func (e *WriteError) Error() string {
+	return fmt.Sprintf("dagtrace: trace cache fill %s (key %q): %v", e.Path, e.Key, e.Err)
+}
+
+func (e *WriteError) Unwrap() error { return e.Err }
+
+// NewCache returns a cache storing recordings as files under dir,
+// created here (an error if it cannot be), or a memory-only cache when
+// dir is empty. frameSize 0 selects DefaultFrameSize.
+func NewCache(dir string, frameSize int64) (*Cache, error) {
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("dagtrace: trace cache: %w", err)
+		}
+	}
+	return &Cache{dir: dir, frameSize: frameSize, create: createTemp, entries: make(map[string]*entry)}, nil
+}
+
+// createTemp opens a temporary file of its own next to path. Names are
+// unique because two recordings of one key can be in flight at once — a
+// watchdog-abandoned attempt still running while a resumed process
+// records the key again — and each must rename only its own bytes.
+func createTemp(path string) (io.WriteCloser, string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return nil, "", err
+	}
+	return f, f.Name(), nil
+}
+
+// Dir returns the cache's directory; "" for a memory-only cache.
+func (c *Cache) Dir() string { return c.dir }
+
+// Recording is a finished trace file in the cache: on disk when the cache
+// has a directory, in memory otherwise.
+type Recording struct {
+	path string
+	data bytesFile
+
+	once     sync.Once
+	resident *Trace
+	err      error
+}
+
+// Path returns the recording's file, or "" for an in-memory recording.
+func (rc *Recording) Path() string { return rc.path }
+
+// Open opens the recording for one replay stream; see OpenTrace.
+func (rc *Recording) Open(windowBytes int64, budget *Budget) (*Trace, error) {
+	if rc.path != "" {
+		return OpenTrace(rc.path, windowBytes, budget)
+	}
+	return NewTrace(rc.data, int64(len(rc.data)), windowBytes, budget)
+}
+
+// Resident returns the recording opened once, resident, and shared by
+// every caller: a resident trace has no window state, so any number of
+// concurrent replays may run off it. In memory it borrows the recording.
+func (rc *Recording) Resident() (*Trace, error) {
+	rc.once.Do(func() { rc.resident, rc.err = rc.Open(math.MaxInt64, nil) })
+	return rc.resident, rc.err
+}
+
+// Reservation is the right — and the duty — to record one key: exactly
+// one caller per key receives it from GetOrReserve and must end it with
+// Commit or Fail, which unblocks the key's waiters.
+type Reservation struct {
+	c    *Cache
+	key  string
+	path string         // destination file ("" when memory-only)
+	tmp  string         // the temporary file renamed to path at Commit
+	file io.WriteCloser // the temporary file, or the in-memory recording
+	out  errWriter      // file, remembering its first write error
+	rec  *Recorder
+}
+
+// errWriter remembers the first write error, so Commit can tell a failed
+// write from a rejected recording.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
+}
+
+// memFile is the file of a memory-only reservation.
+type memFile struct{ bytes.Buffer }
+
+func (*memFile) Close() error { return nil }
+
+// Recorder returns the recorder writing the reservation's file.
+func (rs *Reservation) Recorder() *Recorder { return rs.rec }
+
+// Commit finishes the recording and publishes it. A write failure comes
+// back as a *WriteError, a recording the trace model rejects as its
+// Finish error (ErrUnsupported); either way the key's waiters observe
+// the same error and nothing is published.
+func (rs *Reservation) Commit() (*Recording, error) {
+	err := rs.rec.Finish()
+	if cerr := rs.file.Close(); rs.out.err == nil {
+		rs.out.err = cerr
+	}
+	rc := &Recording{path: rs.path}
+	if m, ok := rs.file.(*memFile); ok {
+		rc.data = m.Bytes()
+	} else if err == nil && rs.out.err == nil {
+		rs.out.err = os.Rename(rs.tmp, rs.path)
+	}
+	if rs.out.err != nil {
+		err = &WriteError{Key: rs.key, Path: rs.path, Err: rs.out.err}
+	}
+	if err != nil {
+		rc = nil
+		if rs.tmp != "" {
+			os.Remove(rs.tmp)
+		}
+	}
+	rs.c.publish(rs.key, rc, err)
+	return rc, err
+}
+
+// Fail abandons the recording — the live run itself failed — and
+// publishes err to the key's waiters.
+func (rs *Reservation) Fail(err error) {
+	if err == nil {
+		panic("dagtrace: Reservation.Fail with nil error")
+	}
+	rs.file.Close()
+	if rs.tmp != "" {
+		os.Remove(rs.tmp)
+	}
+	rs.c.publish(rs.key, nil, err)
+}
+
+// GetOrReserve resolves key. Exactly one caller per key receives a
+// Reservation and must record; every other caller blocks until that
+// recording is published and receives it — recorded by this process or
+// adopted from a previous one's file — or its error: ErrUnsupported (run
+// live) or the recording's failure.
+func (c *Cache) GetOrReserve(key string) (*Recording, *Reservation, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -86,56 +246,92 @@ func (c *Cache) GetOrReserve(key string) (t *Trace, record bool, err error) {
 			c.stats.Fallbacks++
 		}
 		c.mu.Unlock()
-		return e.trace, false, e.err
+		return e.rec, nil, e.err
 	}
 	e := &entry{ready: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
-	if t, ok := c.loadDisk(key); ok {
-		c.Fill(key, t, nil)
+	if rc, ok := c.adoptDisk(key); ok {
+		c.publish(key, rc, nil)
 		c.mu.Lock()
 		c.stats.Hits++
 		c.stats.DiskHits++
 		c.mu.Unlock()
-		return t, false, nil
+		return rc, nil, nil
 	}
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	return nil, true, nil
+	rs := &Reservation{c: c, key: key, file: new(memFile)}
+	if c.dir != "" {
+		rs.path = c.path(key)
+		f, tmp, err := c.create(rs.path)
+		if err != nil {
+			werr := &WriteError{Key: key, Path: rs.path, Err: err}
+			c.publish(key, nil, werr)
+			return nil, nil, werr
+		}
+		rs.file, rs.tmp = f, tmp
+	}
+	rs.out.w = rs.file
+	rs.rec = NewRecorder(&rs.out, c.frameSize)
+	return nil, rs, nil
 }
 
-// Fill publishes the outcome of a reservation made by GetOrReserve and
-// unblocks its waiters. Successful traces are spilled to disk when the
-// cache has a directory.
-func (c *Cache) Fill(key string, t *Trace, err error) {
-	if t != nil {
-		t.Key = key
-	}
+// publish ends the reservation of key, unblocking its waiters. A
+// recording the trace model rejects (ErrUnsupported) stays published —
+// every later caller runs live without retrying — but any other failure
+// releases the single-flight reservation: current waiters hold the entry
+// and still observe the error, while the next GetOrReserve (freed disk,
+// transient fault) records afresh.
+func (c *Cache) publish(key string, rc *Recording, err error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil || e.done {
 		c.mu.Unlock()
-		panic("dagtrace: Fill without matching GetOrReserve reservation")
+		panic("dagtrace: cache publish without matching GetOrReserve reservation")
 	}
-	e.trace, e.err, e.done = t, err, true
+	e.rec, e.err, e.done = rc, err, true
+	if err != nil && !errors.Is(err, ErrUnsupported) {
+		delete(c.entries, key)
+	}
 	c.mu.Unlock()
 	close(e.ready)
-	if err == nil && c.dir != "" {
-		c.spill(key, t)
-	}
 }
 
-// Drop evicts the in-memory trace for key once it is filled, bounding grid
-// memory to the traces still in use; a disk spill (if any) survives and
-// re-seeds a later GetOrReserve. Dropping an unfilled or absent key is a
-// no-op.
+// Drop forgets the published recording of key once it is filled,
+// bounding grid memory to the recordings still in use; its file (if any)
+// survives and re-seeds a later GetOrReserve. Dropping an unfilled or
+// absent key is a no-op.
 func (c *Cache) Drop(key string) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok && e.done {
 		delete(c.entries, key)
 	}
 	c.mu.Unlock()
+}
+
+// Quarantine evicts a key's published recording — cache entry and file
+// both — so the next GetOrReserve re-records from scratch. The grid
+// supervisor calls it between attempts of a failing cell: a replay error
+// may mean the shared recording itself is suspect, and retrying against
+// the same bytes would fail the same way. A key whose recording is still
+// in flight is left alone (there is nothing cached to distrust yet) and
+// Quarantine reports false; evictions are counted in Stats.Quarantined.
+func (c *Cache) Quarantine(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e != nil && !e.done {
+		return false
+	}
+	delete(c.entries, key)
+	removed := c.dir != "" && os.Remove(c.path(key)) == nil
+	if e != nil || removed {
+		c.stats.Quarantined++
+		return true
+	}
+	return false
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -145,49 +341,38 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// path maps a key to its spill file: keys embed machine geometry and
-// profile scales and are not filename-safe, so hash them.
+// path maps a key to its file; keys embed machine geometry and profile
+// scales and are not filename-safe, so hash them.
 func (c *Cache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(c.dir, hex.EncodeToString(sum[:16])+".dgtr")
+	return filepath.Join(c.dir, hex.EncodeToString(sum[:16])+".dgts")
 }
 
-// loadDisk attempts to reload a spilled trace. A missing file just means
-// "record again"; a file that fails to decode (truncated write, bit rot)
-// is reported, evicted from disk so it cannot fail again on the next run,
-// counted in Stats.Corrupt, and likewise falls back to re-recording.
-func (c *Cache) loadDisk(key string) (*Trace, bool) {
+// adoptDisk checks for a trace file left by a previous process and
+// validates its metadata — a window of one frame reads no frame at open —
+// before adopting it. A file that fails (truncated write, bit rot) is
+// evicted and counted in Stats.Corrupt, and the key re-records; a file in
+// an older format version likewise, without counting as corrupt. Frame
+// corruption is caught when a replay verifies the frame.
+func (c *Cache) adoptDisk(key string) (*Recording, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
 	p := c.path(key)
-	data, err := os.ReadFile(p)
-	if err != nil {
+	t, err := OpenTrace(p, 1, nil)
+	if os.IsNotExist(err) {
 		return nil, false
 	}
-	t, err := Decode(data)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dagtrace: evicting corrupt spill %s (key %q): %v\n", p, key, err)
+		fmt.Fprintf(os.Stderr, "dagtrace: evicting framed trace %s (key %q) for re-recording: %v\n", p, key, err)
 		os.Remove(p)
-		c.mu.Lock()
-		c.stats.Corrupt++
-		c.mu.Unlock()
+		if !errors.As(err, new(*VersionError)) {
+			c.mu.Lock()
+			c.stats.Corrupt++
+			c.mu.Unlock()
+		}
 		return nil, false
 	}
-	return t, true
-}
-
-// spill writes the trace atomically (tmp + rename) so concurrent readers
-// never observe a torn file; failures leave the cache memory-only for this
-// key.
-func (c *Cache) spill(key string, t *Trace) {
-	p := c.path(key)
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, t.Encode(), 0o644); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
-	}
+	t.Close()
+	return &Recording{path: p}, true
 }

@@ -8,7 +8,7 @@
 // every cell — only the schedule and the cache/link state differ. (Cole &
 // Ramachandran's general-scheduler cache-cost bounds and Gu et al.'s
 // work-stealing analyses rest on exactly this schedule-independence of the
-// computation.) A Trace records the spawn/sync tree — one node per strand,
+// computation.) A trace records the spawn/sync tree — one node per strand,
 // with the task and strand space declarations space-bounded schedulers
 // read — plus each strand's access script (delta-encoded addresses,
 // read/write bits, interleaved compute charges). Replaying the trace feeds
@@ -17,6 +17,11 @@
 // the same (machine, scheduler, cost model, seed): the golden equivalence
 // suite in internal/exp pins this.
 //
+// There is one trace format (DGTS, see trace.go): the Recorder writes it
+// in one pass as strands finish, a Trace opens it for replay — resident
+// when its window covers the op stream, through a bounded frame window
+// otherwise — and a Cache shares recordings between the cells of a grid.
+//
 // Traces only capture pure fork/join programs: futures (ForkFuture /
 // ForkAwait) introduce cross-task dependencies whose replay order the
 // spawn tree alone cannot express, and multi-root streams interleave
@@ -24,31 +29,24 @@
 // to live execution.
 package dagtrace
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"errors"
-	"fmt"
-
-	"repro/internal/job"
-	"repro/internal/sim"
-)
+import "errors"
 
 // ErrUnsupported marks a computation the trace model cannot express
 // (futures, multiple roots). Recording fails softly: callers run live.
 var ErrUnsupported = errors.New("dagtrace: computation not traceable")
 
-// node is one strand of the recorded computation. Offsets index the shared
-// arenas of the owning Trace, keeping the whole DAG in three flat
-// allocations regardless of strand count.
+// node is one strand of the recorded computation. Offsets index the op
+// stream and the child table of the owning Trace, keeping the whole DAG in
+// a few flat allocations regardless of strand count.
 type node struct {
 	// taskSize and strandSize are the space declarations (S(t;B) and
 	// S(ℓ;B)) the live run resolved for this strand's task and for the
 	// strand itself; -1 when the original job was unannotated.
 	taskSize   int64
 	strandSize int64
-	// opOff/opEnd delimit the strand's access script in Trace.ops.
+	// opOff/opEnd delimit the strand's access script in the op stream.
+	// Scripts are laid out in strand-completion order, so offsets are not
+	// monotone in the node index.
 	opOff, opEnd int64
 	// cont is the node index of the task's next strand, spawned when this
 	// strand's parallel block joins; -1 when this strand ends the task's
@@ -57,97 +55,4 @@ type node struct {
 	// childOff/childEnd delimit this strand's forked child tasks (their
 	// first strands) in Trace.childIdx.
 	childOff, childEnd int32
-}
-
-// Trace is one recorded execution: the strand tree plus per-strand access
-// scripts, in an arena-backed form that is immutable after construction —
-// a single Trace may be replayed by many simulations concurrently.
-type Trace struct {
-	// Key is the cache key the trace was recorded under (informational).
-	Key string
-	// TaskCount and StrandCount are the live run's totals; a replay must
-	// reproduce them exactly (see CheckResult).
-	TaskCount   uint64
-	StrandCount uint64
-	// AccessOps and WorkOps count the recorded memory accesses and compute
-	// charges across all strands.
-	AccessOps int64
-	WorkOps   int64
-
-	nodes    []node
-	ops      []byte  // encoded op streams, all strands back to back
-	childIdx []int32 // flattened child lists (node indices)
-	root     int32   // node index of the root strand
-	jobs     []replayJob
-	kids     []job.Job // prebuilt child jobs, parallel to childIdx
-}
-
-// finalize builds the prebuilt replay-job arenas after nodes/ops/childIdx
-// are in place (shared by the recorder and the decoder).
-func (t *Trace) finalize() {
-	t.jobs = make([]replayJob, len(t.nodes))
-	for i := range t.jobs {
-		t.jobs[i] = replayJob{t: t, n: int32(i)}
-	}
-	t.kids = make([]job.Job, len(t.childIdx))
-	for i, ci := range t.childIdx {
-		t.kids[i] = &t.jobs[ci]
-	}
-}
-
-// Root returns the job that replays the trace: running it under sim.Run
-// re-executes the recorded computation — identical spawn tree, identical
-// per-strand address streams — under whatever machine, scheduler, cost
-// model and seed the new configuration supplies.
-func (t *Trace) Root() job.Job { return &t.jobs[t.root] }
-
-// OpBytes returns the size of the encoded op arena in bytes.
-func (t *Trace) OpBytes() int64 { return int64(len(t.ops)) }
-
-// CheckResult verifies that a replay run executed the full recorded
-// computation: task and strand counts must match the live run's, and the
-// number of simulated accesses (every access hits or misses the innermost
-// cache level exactly once) must equal the recorded op count. Replayed
-// cells assert this instead of Kernel.Verify — the trace carries no data
-// values to verify, only the access structure, and this pins exactly that.
-func (t *Trace) CheckResult(res *sim.Result) error {
-	if res.Tasks != t.TaskCount || res.Strands != t.StrandCount {
-		return fmt.Errorf("dagtrace: replay executed %d tasks / %d strands, trace recorded %d / %d",
-			res.Tasks, res.Strands, t.TaskCount, t.StrandCount)
-	}
-	if res.Hier != nil {
-		inner := res.Machine.NumLevels() - 1
-		if got := res.Hier.HitsAt(inner) + res.Hier.MissesAt(inner); got != t.AccessOps {
-			return fmt.Errorf("dagtrace: replay performed %d accesses, trace recorded %d", got, t.AccessOps)
-		}
-	}
-	return nil
-}
-
-// Fingerprint returns a hex SHA-256 over the trace's canonical content —
-// counts, node table, child lists and op streams, excluding the cache key.
-// Recording a replay run must reproduce the fingerprint of the original
-// recording bit for bit; the golden equivalence suite asserts this.
-func (t *Trace) Fingerprint() string {
-	h := sha256.New()
-	var buf [8 * 4]byte
-	binary.LittleEndian.PutUint64(buf[0:], t.TaskCount)
-	binary.LittleEndian.PutUint64(buf[8:], t.StrandCount)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(t.AccessOps))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(t.root))
-	h.Write(buf[:])
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		binary.LittleEndian.PutUint64(buf[0:], uint64(n.taskSize))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(n.strandSize))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(n.cont))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(int64(n.childEnd)-int64(n.childOff)))
-		h.Write(buf[:])
-	}
-	for _, ci := range t.childIdx {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(ci))
-		h.Write(buf[:4])
-	}
-	h.Write(t.ops)
-	return hex.EncodeToString(h.Sum(nil))
 }

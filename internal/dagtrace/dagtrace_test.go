@@ -1,13 +1,10 @@
 package dagtrace
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
+	"io"
+	"math"
 	"testing"
 
 	"repro/internal/job"
@@ -37,21 +34,51 @@ func testProgram(sp *mem.Space, n int) job.Job {
 	})
 }
 
-func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trace, *sim.Result) {
+// recordBytes records testProgram(n) under schedName into an in-memory
+// trace file with the given frame size (0 = default).
+func recordBytes(t testing.TB, m *machine.Desc, schedName string, seed uint64, n int, frameSize int64) ([]byte, *sim.Result) {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
-	rec := NewRecorder()
+	var file bytes.Buffer
+	rec := NewRecorder(&file, frameSize)
 	res, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.New(schedName), Seed: seed, Listener: rec,
-	}, testProgram(sp, 512))
+	}, testProgram(sp, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := rec.Finish()
+	if err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes(), res
+}
+
+// openBytes opens an in-memory trace file through a window of the given
+// size (math.MaxInt64 = resident).
+func openBytes(t testing.TB, data []byte, window int64) *Trace {
+	t.Helper()
+	tr, err := NewTrace(bytes.NewReader(data), int64(len(data)), window, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, res
+	return tr
+}
+
+// record records the standard test program and opens it resident.
+func record(t *testing.T, m *machine.Desc, schedName string, seed uint64) (*Trace, *sim.Result) {
+	t.Helper()
+	data, res := recordBytes(t, m, schedName, seed, 512, 0)
+	return openBytes(t, data, math.MaxInt64), res
+}
+
+// fingerprint is Trace.Fingerprint with the error failing the test.
+func fingerprint(t testing.TB, tr *Trace) string {
+	t.Helper()
+	fp, err := tr.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
 }
 
 func replay(t *testing.T, tr *Trace, m *machine.Desc, schedName string, seed uint64, l sim.Listener) *sim.Result {
@@ -102,50 +129,58 @@ func TestReplayMatchesLiveAcrossSchedulers(t *testing.T) {
 func TestTraceOfReplayIsIdentical(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
-	rec2 := NewRecorder()
+	var file bytes.Buffer
+	rec2 := NewRecorder(&file, 0)
 	replay(t, tr, m, "ws", 7, rec2)
-	tr2, err := rec2.Finish()
-	if err != nil {
+	if err := rec2.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Fingerprint() != tr2.Fingerprint() {
+	tr2 := openBytes(t, file.Bytes(), math.MaxInt64)
+	if fingerprint(t, tr) != fingerprint(t, tr2) {
 		t.Fatal("trace of replay differs from original trace")
 	}
 }
 
-// TestEncodeDecodeRoundTrip pins the binary codec: decode(encode(t)) must
-// preserve the canonical fingerprint and still replay identically.
+// TestEncodeDecodeRoundTrip pins the file format: the same run recorded
+// at different frame sizes — so its scripts straddle different frame
+// boundaries — must open, resident or through a one-frame window, to the
+// same canonical fingerprint and replay identically.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, _ := record(t, m, "ws", 7)
-	data := tr.Encode()
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Fingerprint() != back.Fingerprint() {
-		t.Fatal("decoded trace fingerprint differs")
-	}
-	a := replay(t, tr, m, "sb", 7, nil)
-	b := replay(t, back, m, "sb", 7, nil)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("decoded trace replays differently")
+	ref, _ := record(t, m, "ws", 7)
+	want := fingerprint(t, ref)
+	wantRes := replay(t, ref, m, "sb", 7, nil).Fingerprint()
+	for _, frameSize := range []int64{64, 512} {
+		data, _ := recordBytes(t, m, "ws", 7, 512, frameSize)
+		for _, window := range []int64{frameSize, math.MaxInt64} {
+			tr := openBytes(t, data, window)
+			if (tr.ops == nil) != (window == frameSize) {
+				t.Fatalf("frame %d window %d: resident=%v", frameSize, window, tr.ops != nil)
+			}
+			if got := fingerprint(t, tr); got != want {
+				t.Errorf("frame %d window %d: fingerprint differs", frameSize, window)
+			}
+			if replay(t, tr, m, "sb", 7, nil).Fingerprint() != wantRes {
+				t.Errorf("frame %d window %d: replays differently", frameSize, window)
+			}
+		}
 	}
 }
 
-// TestDecodeRejectsCorruption flips every byte of a small encoding in turn
-// and requires Decode to fail or at minimum never panic.
+// TestDecodeRejectsCorruption flips bytes across a whole trace file —
+// header, frames, metadata and footer — and requires a resident open to
+// fail on every mutation (and never panic): resident opening verifies
+// every frame, so corruption is reported at open.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	data := tr.Encode()
-	if _, err := Decode(data[:len(data)-3]); err == nil {
-		t.Error("truncated trace decoded without error")
+	data, _ := recordBytes(t, m, "ws", 3, 512, 256)
+	if _, err := NewTrace(bytes.NewReader(data[:len(data)-3]), int64(len(data)-3), math.MaxInt64, nil); err == nil {
+		t.Error("truncated trace opened without error")
 	}
 	for i := 0; i < len(data); i += 17 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
-		if _, err := Decode(mut); err == nil {
+		if _, err := NewTrace(bytes.NewReader(mut), int64(len(mut)), math.MaxInt64, nil); err == nil {
 			t.Fatalf("corruption at byte %d went undetected", i)
 		}
 	}
@@ -162,181 +197,13 @@ func TestFutureProgramsAreRejected(t *testing.T) {
 			c2.ForkAwait(job.FuncJob(func(job.Ctx) {}), []*job.Future{f})
 		}), f, job.FuncJob(func(c3 job.Ctx) { c3.Work(5) }))
 	})
-	rec := NewRecorder()
+	rec := NewRecorder(io.Discard, 0)
 	if _, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: 1, Listener: rec,
 	}, root); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.Finish(); !errors.Is(err, ErrUnsupported) {
+	if err := rec.Finish(); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Finish = %v, want ErrUnsupported", err)
-	}
-}
-
-// TestCacheSingleFlight: one recorder per key, everyone else blocks for
-// the fill; stats count one miss and the rest hits.
-func TestCacheSingleFlight(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	c := NewCache("")
-	const waiters = 8
-	got := make([]*Trace, waiters)
-	var recorders int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w, rec, err := c.GetOrReserve("k")
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			if rec {
-				mu.Lock()
-				recorders++
-				mu.Unlock()
-				c.Fill("k", tr, nil)
-				w = tr
-			}
-			got[i] = w
-		}(i)
-	}
-	wg.Wait()
-	if recorders != 1 {
-		t.Fatalf("%d recorders for one key, want 1", recorders)
-	}
-	for i, w := range got {
-		if w != tr {
-			t.Fatalf("waiter %d got %p, want the filled trace", i, w)
-		}
-	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Hits != waiters-1 {
-		t.Fatalf("stats = %+v, want 1 miss / %d hits", s, waiters-1)
-	}
-	if hr := s.HitRate(); hr <= 0.8 {
-		t.Fatalf("hit rate %.2f, want > 0.8", hr)
-	}
-}
-
-// TestCacheFallbackAndDrop: an ErrUnsupported fill propagates to waiters
-// as a live-fallback signal; Drop evicts so the key records again.
-func TestCacheFallbackAndDrop(t *testing.T) {
-	c := NewCache("")
-	if _, rec, _ := c.GetOrReserve("k"); !rec {
-		t.Fatal("first GetOrReserve must reserve")
-	}
-	c.Fill("k", nil, ErrUnsupported)
-	if _, rec, err := c.GetOrReserve("k"); rec || !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("after unsupported fill: rec=%v err=%v", rec, err)
-	}
-	c.Drop("k")
-	if _, rec, err := c.GetOrReserve("k"); !rec || err != nil {
-		t.Fatalf("after drop: rec=%v err=%v, want a fresh reservation", rec, err)
-	}
-	c.Fill("k", nil, ErrUnsupported)
-	if s := c.Stats(); s.Fallbacks != 1 || s.Misses != 2 {
-		t.Fatalf("stats = %+v, want 1 fallback / 2 misses", s)
-	}
-}
-
-// TestCacheDiskSpill: a filled trace persists to the spill directory and
-// seeds a second cache instance without re-recording.
-func TestCacheDiskSpill(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	dir := t.TempDir()
-	c1 := NewCache(dir)
-	if _, rec, _ := c1.GetOrReserve("k"); !rec {
-		t.Fatal("first GetOrReserve must reserve")
-	}
-	c1.Fill("k", tr, nil)
-	files, err := filepath.Glob(filepath.Join(dir, "*.dgtr"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill files = %v (err %v), want exactly one", files, err)
-	}
-	c2 := NewCache(dir)
-	got, rec, err := c2.GetOrReserve("k")
-	if err != nil || rec {
-		t.Fatalf("disk reload: rec=%v err=%v", rec, err)
-	}
-	if got.Fingerprint() != tr.Fingerprint() {
-		t.Fatal("reloaded trace fingerprint differs")
-	}
-	if s := c2.Stats(); s.DiskHits != 1 {
-		t.Fatalf("stats = %+v, want 1 disk hit", s)
-	}
-	// A corrupt spill must be ignored, not replayed.
-	data, _ := os.ReadFile(files[0])
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c3 := NewCache(dir)
-	if _, rec, _ := c3.GetOrReserve("k"); !rec {
-		t.Fatal("corrupt spill should force a fresh recording")
-	}
-}
-
-// TestCacheEvictsCorruptSpill: a spill file truncated mid-varint (with the
-// checksum recomputed, so only the structural varint guard can catch it)
-// is detected on reload, evicted from disk, counted in Stats.Corrupt, and
-// the cell falls back to re-recording — after which a fresh Fill re-spills
-// a good file.
-func TestCacheEvictsCorruptSpill(t *testing.T) {
-	m := machine.TwoSocket(2, 1<<14, 1<<12)
-	tr, _ := record(t, m, "ws", 3)
-	dir := t.TempDir()
-	c1 := NewCache(dir)
-	if _, rec, _ := c1.GetOrReserve("k"); !rec {
-		t.Fatal("first GetOrReserve must reserve")
-	}
-	c1.Fill("k", tr, nil)
-	files, err := filepath.Glob(filepath.Join(dir, "*.dgtr"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill files = %v (err %v), want exactly one", files, err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut the node table a few bytes in — mid-varint — keeping the fixed
-	// 68-byte header intact. Pad back to the original length with bare
-	// continuation bytes (0x80: a varint that never terminates) so the
-	// header's op-byte count stays plausible and only the varint reader
-	// can catch the damage, then append a valid checksum so the integrity
-	// guard cannot either.
-	cut := append([]byte{}, data[:68+7]...)
-	for len(cut) < len(data)-8 {
-		cut = append(cut, 0x80)
-	}
-	h := fnv.New64a()
-	h.Write(cut)
-	trunc := binary.LittleEndian.AppendUint64(cut, h.Sum64())
-	if _, err := Decode(trunc); err == nil || !strings.Contains(err.Error(), "mid-varint") {
-		t.Fatalf("Decode of truncated trace: err = %v, want mid-varint truncation", err)
-	}
-	if err := os.WriteFile(files[0], trunc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCache(dir)
-	if _, rec, _ := c2.GetOrReserve("k"); !rec {
-		t.Fatal("truncated spill must fall back to re-recording")
-	}
-	if s := c2.Stats(); s.Corrupt != 1 || s.Misses != 1 || s.DiskHits != 0 {
-		t.Fatalf("stats = %+v, want Corrupt=1 Misses=1 DiskHits=0", s)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*.dgtr")); len(left) != 0 {
-		t.Fatalf("corrupt spill not evicted: %v", left)
-	}
-	c2.Fill("k", tr, nil)
-	if respilled, _ := filepath.Glob(filepath.Join(dir, "*.dgtr")); len(respilled) != 1 {
-		t.Fatalf("re-record did not re-spill: %v", respilled)
-	}
-	c3 := NewCache(dir)
-	if got, rec, err := c3.GetOrReserve("k"); rec || err != nil || got.Fingerprint() != tr.Fingerprint() {
-		t.Fatalf("re-spilled trace did not reload cleanly (rec=%v err=%v)", rec, err)
 	}
 }

@@ -48,47 +48,18 @@ type Partition struct {
 	Pieces []Piece
 }
 
-// arena is the node-table view shared by Trace and StreamTrace that
-// partitioning needs.
-type arena interface {
-	nodeTable() []node
-	childTable() []int32
-	rootIndex() int32
-	jobAt(i int32) job.Job
-	scriptedAt(i int32) job.Scripted
-}
-
-func (t *Trace) nodeTable() []node               { return t.nodes }
-func (t *Trace) childTable() []int32             { return t.childIdx }
-func (t *Trace) rootIndex() int32                { return t.root }
-func (t *Trace) jobAt(i int32) job.Job           { return &t.jobs[i] }
-func (t *Trace) scriptedAt(i int32) job.Scripted { return &t.jobs[i] }
-
-func (t *StreamTrace) nodeTable() []node               { return t.nodes }
-func (t *StreamTrace) childTable() []int32             { return t.childIdx }
-func (t *StreamTrace) rootIndex() int32                { return t.root }
-func (t *StreamTrace) jobAt(i int32) job.Job           { return &t.jobs[i] }
-func (t *StreamTrace) scriptedAt(i int32) job.Scripted { return &t.jobs[i] }
-
-// PartitionTrace splits a whole-arena trace into at most k pieces.
-func PartitionTrace(t *Trace, k int) (*Partition, error) { return partition(t, k) }
-
-// PartitionStream splits a framed trace into at most k pieces. The piece
-// jobs lease their scripts through the trace's frame window exactly like
-// the unpartitioned Root.
-func PartitionStream(t *StreamTrace, k int) (*Partition, error) { return partition(t, k) }
-
-func partition(a arena, k int) (*Partition, error) {
+// Partition splits the trace into at most k pieces. The piece jobs take
+// their scripts exactly like the unpartitioned Root: borrowed from a
+// resident op stream, or leased through the frame window.
+func (t *Trace) Partition(k int) (*Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("dagtrace: partition into %d pieces", k)
 	}
-	nodes := a.nodeTable()
-	children := a.childTable()
-	root := a.rootIndex()
+	nodes, children, root := t.nodes, t.childIdx, t.root
 	weight := subtreeWeights(nodes, children)
 	if k == 1 || len(nodes) < 2 {
 		return &Partition{Pieces: []Piece{{
-			Root: a.jobAt(root), Node: root, Weight: weight[root],
+			Root: &t.jobs[root], Node: root, Weight: weight[root],
 		}}}, nil
 	}
 
@@ -156,12 +127,12 @@ func partition(a arena, k int) (*Partition, error) {
 		if len(cutSlots[i]) == 0 && !contWrapped {
 			continue
 		}
-		pj := &partJob{sj: a.scriptedAt(i)}
+		pj := &partJob{replayJob: &t.jobs[i]}
 		if nd.cont >= 0 {
 			if cw := wrapped[nd.cont]; cw != nil {
 				pj.cont = cw
 			} else {
-				pj.cont = a.jobAt(nd.cont)
+				pj.cont = &t.jobs[nd.cont]
 			}
 		}
 		for slot := nd.childOff; slot < nd.childEnd; slot++ {
@@ -172,7 +143,7 @@ func partition(a arena, k int) (*Partition, error) {
 			if cw := wrapped[ci]; cw != nil {
 				pj.kids = append(pj.kids, cw)
 			} else {
-				pj.kids = append(pj.kids, a.jobAt(ci))
+				pj.kids = append(pj.kids, &t.jobs[ci])
 			}
 		}
 		wrapped[i] = pj
@@ -180,7 +151,7 @@ func partition(a arena, k int) (*Partition, error) {
 
 	p := &Partition{Pieces: make([]Piece, len(pieces))}
 	for i, pc := range pieces {
-		r := a.jobAt(pc.node)
+		var r job.Job = &t.jobs[pc.node]
 		if w := wrapped[pc.node]; w != nil {
 			r = w
 		}
@@ -191,14 +162,14 @@ func partition(a arena, k int) (*Partition, error) {
 
 // partJob replays one trace node with a modified terminal fork: cut
 // children removed and the continuation redirected to its own wrapper
-// when the chain downstream changed. It delegates the script itself to
-// the arena job, so inline execution, streaming leases, and recorded
+// when the chain downstream changed. It embeds the node's replay job for
+// the script itself, so inline execution, script leases, and recorded
 // sizes all behave exactly as for an unpartitioned replay. Size and
 // StrandSize still report the recorded (pre-cut) footprints: a cut can
 // only shrink a task's true working set, so space-bounded schedulers stay
 // sound, merely conservative, for partitioned pieces.
 type partJob struct {
-	sj   job.Scripted
+	*replayJob
 	cont job.Job
 	kids []job.Job
 }
@@ -206,29 +177,9 @@ type partJob struct {
 var _ job.StreamScripted = (*partJob)(nil)
 var _ job.SBJob = (*partJob)(nil)
 
-func (j *partJob) Run(ctx job.Ctx) {
-	ops, lo, hi := j.sj.Script()
-	replayOps(ctx, ops, lo, hi)
-	if ss, ok := j.sj.(job.StreamScripted); ok {
-		ss.ReleaseScript(ops)
-	}
-	if j.cont != nil || len(j.kids) > 0 {
-		ctx.Fork(j.cont, j.kids...)
-	}
-}
-
-func (j *partJob) Script() (ops []byte, lo, hi int64) { return j.sj.Script() }
-
-func (j *partJob) ReleaseScript(ops []byte) {
-	if ss, ok := j.sj.(job.StreamScripted); ok {
-		ss.ReleaseScript(ops)
-	}
-}
+func (j *partJob) Run(ctx job.Ctx) { runScript(ctx, j) }
 
 func (j *partJob) ScriptFork() (cont job.Job, children []job.Job) { return j.cont, j.kids }
-
-func (j *partJob) Size(b int64) int64       { return j.sj.(job.SBJob).Size(b) }
-func (j *partJob) StrandSize(b int64) int64 { return j.sj.(job.SBJob).StrandSize(b) }
 
 // subtreeWeights computes each node's subtree weight — op bytes plus one
 // per strand, summed over the node, its children and its continuation

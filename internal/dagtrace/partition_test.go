@@ -31,7 +31,7 @@ func TestPartitionConservation(t *testing.T) {
 	tr, _ := record(t, m, "ws", 7)
 	total := tr.OpBytes() + int64(tr.StrandCount)
 	for _, k := range []int{1, 2, 3, 4, 8} {
-		p, err := PartitionTrace(tr, k)
+		p, err := tr.Partition(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +63,11 @@ func TestPartitionConservation(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
-	a, err := PartitionTrace(tr, 4)
+	a, err := tr.Partition(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PartitionTrace(tr, 4)
+	b, err := tr.Partition(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPartitionDeterministic(t *testing.T) {
 func TestPartitionSinglePieceIsUnchanged(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
 	tr, _ := record(t, m, "ws", 7)
-	p, err := PartitionTrace(tr, 1)
+	p, err := tr.Partition(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,41 +104,41 @@ func TestPartitionSinglePieceIsUnchanged(t *testing.T) {
 	}
 }
 
-// TestPartitionStream: partitioning the framed form must yield the same
-// piece structure as the arena form, and its pieces must replay with the
-// same aggregate counts, leasing scripts through the window.
+// TestPartitionStream: partitioning a windowed trace must yield the same
+// piece structure as partitioning it resident, and its pieces must replay
+// identically, leasing scripts through the window.
 func TestPartitionStream(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, st, _ := writeFramed(t, 512, 256, 2048)
-	pa, err := PartitionTrace(tr, 4)
+	st, path := writeFramed(t, 512, 256, 2048)
+	pa, err := openResident(t, path).Partition(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := PartitionStream(st, 4)
+	ps, err := st.Partition(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pa.Pieces) != len(ps.Pieces) {
-		t.Fatalf("piece counts differ: arena %d, stream %d", len(pa.Pieces), len(ps.Pieces))
+		t.Fatalf("piece counts differ: resident %d, windowed %d", len(pa.Pieces), len(ps.Pieces))
 	}
 	var tasks, strands uint64
 	for i := range ps.Pieces {
 		if pa.Pieces[i].Node != ps.Pieces[i].Node || pa.Pieces[i].Weight != ps.Pieces[i].Weight {
-			t.Fatalf("piece %d differs between arena and stream partition", i)
+			t.Fatalf("piece %d differs between resident and windowed partition", i)
 		}
 		ra := runPiece(t, pa.Pieces[i], m, "ws", 7)
 		rs := runPiece(t, ps.Pieces[i], m, "ws", 7)
 		if ra.Fingerprint() != rs.Fingerprint() {
-			t.Errorf("piece %d: streamed replay differs from arena replay", i)
+			t.Errorf("piece %d: windowed replay differs from resident replay", i)
 		}
 		tasks += rs.Tasks
 		strands += rs.Strands
 	}
 	if tasks != st.TaskCount || strands != st.StrandCount {
-		t.Errorf("streamed pieces replay %d tasks / %d strands, trace recorded %d / %d",
+		t.Errorf("windowed pieces replay %d tasks / %d strands, trace recorded %d / %d",
 			tasks, strands, st.TaskCount, st.StrandCount)
 	}
 	if peak := st.PeakResidentBytes(); peak >= st.OpBytes() {
-		t.Errorf("partitioned streamed replay held %d bytes resident, op stream is %d", peak, st.OpBytes())
+		t.Errorf("partitioned windowed replay held %d bytes resident, op stream is %d", peak, st.OpBytes())
 	}
 }

@@ -8,6 +8,7 @@ package exp
 // wall time).
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -142,26 +143,32 @@ func BenchGridFig8(b *testing.B) {
 }
 
 // BenchTraceRecord measures the capture side of record-once/replay-
-// everywhere: a live quicksort run with a Recorder attached, reported per
-// recorded op (accesses + work segments) together with the encoded trace
-// density.
+// everywhere: a live quicksort run with a Recorder attached, writing its
+// trace file into memory, reported per recorded op (accesses + work
+// segments) together with the encoded trace density.
 func BenchTraceRecord(b *testing.B) {
 	p := Quick()
 	m := p.MachineHT()
 	mk := p.QuicksortFactory()
 	var ops, opBytes int64
+	var file bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 		k := mk(sp, m, p.Seed)
-		rec := dagtrace.NewRecorder()
+		file.Reset()
+		rec := dagtrace.NewRecorder(&file, 0)
 		if _, err := sim.Run(sim.Config{
 			Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: p.Seed, Listener: rec,
 		}, k.Root()); err != nil {
 			b.Fatal(err)
 		}
-		tr, err := rec.Finish()
+		if err := rec.Finish(); err != nil {
+			b.Fatal(err)
+		}
+		// A one-byte window reads the counts and tables, no frame.
+		tr, err := dagtrace.NewTrace(bytes.NewReader(file.Bytes()), int64(file.Len()), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +185,10 @@ func BenchTraceRecord(b *testing.B) {
 func BenchReplayFig8(b *testing.B) {
 	p := Quick()
 	p.Reps = 1
-	cache := dagtrace.NewCache("")
+	cache, err := dagtrace.NewCache("", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	warm := NewRunner(p, nullWriter{})
 	warm.Traces = cache
 	warm.KeepTraces = true
@@ -205,39 +215,42 @@ func BenchReplayFig8(b *testing.B) {
 	}
 }
 
-// benchStream records the quick-profile quicksort once, frames it to a
-// temp file, and opens it through a window of the given byte budget. The
-// file and stream are cleaned up with the benchmark. Recording runs under
-// sb — the scheduler the replay benchmarks use — so the op stream's frame
-// order matches the replay's access order, as it does in the FullCell
-// pipeline (a replay whose schedule diverges from the recording order
-// still works, but re-fetches frames instead of streaming them).
-func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamTrace) {
+// benchStream records the quick-profile quicksort once to a temp file
+// and opens it through a window of the given byte budget. The file and
+// trace are cleaned up with the benchmark. Recording runs under sb — the
+// scheduler the replay benchmarks use — so the op stream's frame order
+// matches the replay's access order, as it does in the FullCell pipeline
+// (a replay whose schedule diverges from the recording order still works,
+// but re-fetches frames instead of streaming them).
+func benchStream(b *testing.B, window int64) *dagtrace.Trace {
 	b.Helper()
 	p := Quick()
 	m := p.MachineHT()
 	sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
 	k := p.QuicksortFactory()(sp, m, p.Seed)
-	rec := dagtrace.NewRecorder()
+	path := filepath.Join(b.TempDir(), "bench.dgts")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := dagtrace.NewRecorder(f, 0)
 	if _, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.New("sb"), Seed: p.Seed, Listener: rec,
 	}, k.Root()); err != nil {
 		b.Fatal(err)
 	}
-	tr, err := rec.Finish()
-	if err != nil {
+	if err := rec.Finish(); err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "bench.dgts")
-	if err := dagtrace.WriteFramed(tr, path, 0); err != nil {
+	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	st, err := dagtrace.OpenStream(path, window)
+	st, err := dagtrace.OpenTrace(path, window, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { st.Close() })
-	return tr, st
+	return st
 }
 
 // BenchWindowedDecode measures the streamed replay path: a framed
@@ -250,7 +263,7 @@ func benchStream(b *testing.B, window int64) (*dagtrace.Trace, *dagtrace.StreamT
 func BenchWindowedDecode(b *testing.B) {
 	p := Quick()
 	m := p.MachineHT()
-	_, st := benchStream(b, 1<<20)
+	st := benchStream(b, 1<<20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -281,8 +294,8 @@ func BenchWindowedDecode(b *testing.B) {
 func BenchShardedReplay(b *testing.B) {
 	p := Quick()
 	m := p.MachineHT()
-	tr, st := benchStream(b, 1<<20)
-	part, err := dagtrace.PartitionStream(st, 2*m.Levels[0].Fanout)
+	st := benchStream(b, 1<<20)
+	part, err := st.Partition(2 * m.Levels[0].Fanout)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,9 +318,9 @@ func BenchShardedReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Tasks != tr.TaskCount || res.Strands != tr.StrandCount {
+		if res.Tasks != st.TaskCount || res.Strands != st.StrandCount {
 			b.Fatalf("sharded replay executed %d tasks / %d strands, trace recorded %d / %d",
-				res.Tasks, res.Strands, tr.TaskCount, tr.StrandCount)
+				res.Tasks, res.Strands, st.TaskCount, st.StrandCount)
 		}
 		accesses += uint64(res.Accesses)
 	}

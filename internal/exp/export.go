@@ -60,7 +60,7 @@ func WriteFullGridCSV(path string, rep *FullGridReport) error {
 		"kernel", "scheduler", "links", "status", "shards",
 		"sharded_wall_cycles", "l3_misses", "dram_stall_cycles",
 		"tasks", "strands", "op_bytes", "file_bytes",
-		"record_shared", "record_s", "write_s", "sharded_s",
+		"record_shared", "record_s", "sharded_s",
 		"peak_window_bytes", "fingerprint",
 	}
 	if err := w.Write(header); err != nil {
@@ -99,7 +99,7 @@ func WriteFullGridCSV(path string, rep *FullGridReport) error {
 			}
 			rec := []string{
 				g.Kernel, g.Scheduler, strconv.Itoa(g.LinksUsed), status,
-				"", "", "", "", "", "", "", "", "", "", "", "", "", "",
+				"", "", "", "", "", "", "", "", "", "", "", "", "",
 			}
 			if err := w.Write(rec); err != nil {
 				return err
@@ -116,7 +116,7 @@ func WriteFullGridCSV(path string, rep *FullGridReport) error {
 			strconv.FormatInt(c.StallCycles, 10),
 			strconv.FormatUint(c.Tasks, 10), strconv.FormatUint(c.Strands, 10),
 			strconv.FormatInt(c.OpBytes, 10), strconv.FormatInt(c.TraceBytes, 10),
-			strconv.FormatBool(c.RecordShared), fmtF(c.RecordSec), fmtF(c.WriteSec), fmtF(c.ShardedSec),
+			strconv.FormatBool(c.RecordShared), fmtF(c.RecordSec), fmtF(c.ShardedSec),
 			strconv.FormatInt(c.PeakWindowB, 10), c.Fingerprint,
 		}
 		if err := w.Write(rec); err != nil {

@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -89,16 +87,16 @@ type FullGridReport struct {
 	BudgetBytes     int64
 	PeakBudgetBytes int64
 
-	// CacheStats snapshots the framed-trace cache delta over the grid.
+	// CacheStats snapshots the trace cache delta over the grid.
 	CacheStats dagtrace.Stats
 }
 
 // FullGrid runs the kernels × schedNames × bands grid of full-scale
 // cells concurrently on r.Workers host goroutines. All cells of one
-// kernel share a single framed recording (r.FramedTraces when set, else
-// a grid-lifetime temp cache): the first cell to arrive records under
-// FullRecordSched, everyone else blocks on the cache and replays the
-// same file. Every cell's decoder window draws on one shared budget of
+// kernel share a single recording (in r.Traces when it has a directory,
+// else in a grid-lifetime temporary cache): the first cell to arrive
+// records under FullRecordSched, everyone else blocks on the cache and
+// replays the same file. Every cell's decoder window draws on one shared budget of
 // r.GridBudget bytes, split evenly between the cells that run at once
 // (splitBudget), so grid peak decoder memory tracks a single cell's
 // rather than multiplying by the worker count. Cells skip the
@@ -194,26 +192,14 @@ func (r *Runner) FullGridRun(ctx context.Context, kernels, schedNames []string, 
 		defer journal.Close()
 	}
 
-	cache := r.FramedTraces
-	if cache == nil {
-		if opts.RunDir != "" {
-			// Recordings live inside the run directory, so a resumed or
-			// retried process adopts them from disk instead of re-recording.
-			var err error
-			if cache, err = dagtrace.NewStreamCache(filepath.Join(opts.RunDir, "traces"), 0); err != nil {
-				return nil, err
-			}
-		} else {
-			dir, err := os.MkdirTemp("", "fullgrid-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			if cache, err = dagtrace.NewStreamCache(dir, 0); err != nil {
-				return nil, err
-			}
-		}
+	// Recordings live inside the run directory when there is one, so a
+	// resumed or retried process adopts them from disk instead of
+	// re-recording (unless r.Traces names a directory of its own).
+	cache, cleanup, err := r.diskCache(opts.RunDir)
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
 	before := cache.Stats()
 	budgetBytes := r.GridBudget
 	if budgetBytes <= 0 {
@@ -389,7 +375,7 @@ dispatch:
 		} else {
 			rep.Recordings++
 		}
-		rep.SumCellSec += c.RecordSec + c.WriteSec + c.ReplaySec + c.ShardedSec
+		rep.SumCellSec += c.RecordSec + c.ReplaySec + c.ShardedSec
 	}
 	rep.Retries = int(sup.retries.Load())
 	rep.Quarantines = int(sup.quarantines.Load())

@@ -1,10 +1,10 @@
 package exp
 
-// Full-scale grid cells: record once, frame to disk, then replay through
-// the bounded window — unsharded on the full machine while sharded across
-// per-socket simulations — so one Fig. 8 cell at the paper's real input
-// sizes (×1: 24MB L3, 100M-element-class inputs) completes in minutes
-// with decoder memory independent of the trace size.
+// Full-scale grid cells: record once straight into a trace file, then
+// replay it through the bounded window — unsharded on the full machine
+// while sharded across per-socket simulations — so one Fig. 8 cell at the
+// paper's real input sizes (×1: 24MB L3, 100M-element-class inputs)
+// completes in minutes with decoder memory independent of the trace size.
 
 import (
 	"fmt"
@@ -85,8 +85,8 @@ func (p Profile) FullKernelFactory(name string) (KernelFactory, error) {
 // FullRecordSched is the canonical scheduler every full-scale recording
 // runs under. A recording's semantics (ops, addresses, dependencies) are
 // schedule-independent, but its layout is not: node numbering follows
-// the recording execution order, and the partitioner breaks ties on node
-// indices. Pinning one recording scheduler makes the framed file — and
+// the recording's spawn order, and the partitioner breaks ties on node
+// indices. Pinning one recording scheduler makes the trace file — and
 // therefore every replay fingerprint derived from it — a pure function
 // of (kernel, scale, seed, machine), which is what lets a grid share one
 // recording across cells and still match the one-cell-at-a-time path
@@ -110,8 +110,8 @@ type FullCellReport struct {
 
 	// RecordShared reports the recording was reused — produced by another
 	// grid cell or adopted from a previous process — rather than by this
-	// cell; RecordSec and WriteSec are then zero, so summing stage columns
-	// over a grid never double-counts the amortized record stage.
+	// cell; RecordSec is then zero, so summing stage columns over a grid
+	// never double-counts the amortized record stage.
 	RecordShared bool
 
 	// Attempts is the attempt number that produced this report (1 = first
@@ -122,8 +122,7 @@ type FullCellReport struct {
 	Resumed bool
 
 	// Host wall-clock of each pipeline stage, in seconds.
-	RecordSec   float64 // live run + recording (0 when RecordShared)
-	WriteSec    float64 // framing to disk (0 when RecordShared)
+	RecordSec   float64 // live run recording to disk (0 when RecordShared)
 	ReplaySec   float64 // unsharded streamed replay, full machine, overlapping ShardedSec
 	ShardedSec  float64 // sharded streamed replay (Shards goroutines)
 	PeakSysMB   float64 // runtime.MemStats.Sys after the replays
@@ -140,11 +139,11 @@ type FullCellReport struct {
 // fullCellOpts selects the stages and sharing discipline of one
 // full-scale cell run.
 type fullCellOpts struct {
-	linksUsed int                   // 0 = all machine links
-	cache     *dagtrace.StreamCache // nil = private temp recording
-	budget    *dagtrace.Budget      // shared window budget (nil = per-stream only)
-	unsharded bool                  // also replay unsharded on the full machine
-	window    int64                 // decoder window override (0 = r.ReplayWindow)
+	linksUsed int              // 0 = all machine links
+	cache     *dagtrace.Cache  // on-disk recordings (nil = see diskCache)
+	budget    *dagtrace.Budget // shared window budget (nil = per-stream only)
+	unsharded bool             // also replay unsharded on the full machine
+	window    int64            // decoder window override (0 = r.ReplayWindow)
 }
 
 // framedKey is the grid cache identity of a kernel's framed recording:
@@ -156,45 +155,61 @@ func (r *Runner) framedKey(kernel string, m *machine.Desc) string {
 }
 
 // fullRecord runs the kernel live under the canonical recording
-// scheduler with a recorder attached and returns the finished trace.
-func (r *Runner) fullRecord(mk KernelFactory, m *machine.Desc, seed uint64) (*dagtrace.Trace, error) {
+// scheduler with rec attached.
+func (r *Runner) fullRecord(mk KernelFactory, m *machine.Desc, seed uint64, rec *dagtrace.Recorder) error {
 	sp := mem.NewSpacePaged(m.Links, m.Links, r.P.PageSize())
 	k := mk(sp, m, seed)
-	rec := dagtrace.NewRecorder()
 	if _, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.New(FullRecordSched), Seed: seed, Listener: rec,
 	}, k.Root()); err != nil {
-		return nil, fmt.Errorf("exp: full-scale record: %w", err)
+		return fmt.Errorf("exp: full-scale record: %w", err)
 	}
 	if err := k.Verify(); err != nil {
-		return nil, fmt.Errorf("exp: full-scale record: output verification failed: %w", err)
+		return fmt.Errorf("exp: full-scale record: output verification failed: %w", err)
 	}
-	tr, err := rec.Finish()
+	return nil
+}
+
+// diskCache returns the cache full-scale cells record into: r.Traces when
+// it stores files, else a new cache in runDir/traces — or in a private
+// temporary directory when runDir is empty, removed by the returned
+// cleanup. Full-scale recordings never live in memory.
+func (r *Runner) diskCache(runDir string) (*dagtrace.Cache, func(), error) {
+	if r.Traces != nil && r.Traces.Dir() != "" {
+		return r.Traces, func() {}, nil
+	}
+	dir, cleanup := filepath.Join(runDir, "traces"), func() {}
+	if runDir == "" {
+		tmp, err := os.MkdirTemp("", "fullscale-")
+		if err != nil {
+			return nil, nil, err
+		}
+		dir, cleanup = tmp, func() { os.RemoveAll(tmp) }
+	}
+	c, err := dagtrace.NewCache(dir, 0)
 	if err != nil {
-		return nil, fmt.Errorf("exp: full-scale record: %w", err)
+		cleanup()
+		return nil, nil, err
 	}
-	return tr, nil
+	return c, cleanup, nil
 }
 
 // FullCell runs one full-scale grid cell end to end: record the kernel
-// live on the profile's machine (under FullRecordSched), frame the trace
-// to disk, then replay it twice at once — unsharded on the full machine,
-// and partitioned and sharded over the machine's sockets on r.Shards
-// host goroutines — each replay through its own stream with half of
-// r.ReplayWindow. The sharded
-// fingerprint it reports is invariant under r.Shards; the driver's
-// fullscale-smoke CI job pins that by diffing two runs. When
-// r.FramedTraces is set the recording resolves through the shared grid
-// cache instead of a private temp file.
+// live on the profile's machine (under FullRecordSched) straight into a
+// trace file (see diskCache), then replay it twice at once — unsharded on
+// the full machine, and partitioned and sharded over the machine's
+// sockets on r.Shards host goroutines — each replay through its own
+// stream with half of r.ReplayWindow. The sharded fingerprint it reports
+// is invariant under r.Shards; the fullscale-smoke CI job pins that.
 func (r *Runner) FullCell(kernel, schedName string) (*FullCellReport, error) {
-	return r.fullCell(kernel, schedName, fullCellOpts{cache: r.FramedTraces, unsharded: true})
+	return r.fullCell(kernel, schedName, fullCellOpts{unsharded: true})
 }
 
 // FullCellAt is FullCell at a bandwidth setting: linksUsed of the
 // machine's DRAM links in use (0 = all). It is the sequential reference
 // the grid equivalence tests compare against.
 func (r *Runner) FullCellAt(kernel, schedName string, linksUsed int) (*FullCellReport, error) {
-	return r.fullCell(kernel, schedName, fullCellOpts{linksUsed: linksUsed, cache: r.FramedTraces, unsharded: true})
+	return r.fullCell(kernel, schedName, fullCellOpts{linksUsed: linksUsed, unsharded: true})
 }
 
 func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellReport, error) {
@@ -229,74 +244,52 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 		LinksUsed: links, Shards: r.Shards, Window: window,
 	}
 
-	// Stage 1: resolve the framed recording — through the shared grid
-	// cache (one recording per kernel key, whoever gets there first) or a
-	// private temp file.
-	var path string
-	if o.cache != nil {
-		key := r.framedKey(kernel, m)
-		p, shared, record, err := o.cache.GetOrReserve(key)
-		if err != nil {
-			return nil, fmt.Errorf("exp: full-scale shared record: %w", err)
-		}
-		if record {
-			//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
-			t0 := time.Now()
-			tr, err := r.fullRecord(mk, m, seed)
-			if err != nil {
-				o.cache.Fail(key, err)
-				return nil, err
-			}
-			//schedlint:ignore nondeterminism host-side stage timing for the report
-			rep.RecordSec = time.Since(t0).Seconds()
-			//schedlint:ignore nondeterminism host-side stage timing for the report
-			t0 = time.Now()
-			if p, err = o.cache.Fill(key, tr); err != nil {
-				return nil, fmt.Errorf("exp: full-scale frame: %w", err)
-			}
-			//schedlint:ignore nondeterminism host-side stage timing for the report
-			rep.WriteSec = time.Since(t0).Seconds()
-		} else {
-			rep.RecordShared = shared
-		}
-		path = p
-	} else {
-		//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
-		t0 := time.Now()
-		tr, err := r.fullRecord(mk, m, seed)
+	// Stage 1: resolve the recording through the disk cache — whoever gets
+	// there first records it, straight into the cache's file.
+	cache := o.cache
+	if cache == nil {
+		c, cleanup, err := r.diskCache("")
 		if err != nil {
 			return nil, err
+		}
+		defer cleanup()
+		cache = c
+	}
+	key := r.framedKey(kernel, m)
+	rc, rs, err := cache.GetOrReserve(key)
+	if err != nil {
+		return nil, fmt.Errorf("exp: full-scale shared record: %w", err)
+	}
+	if rs != nil {
+		//schedlint:ignore nondeterminism host-side stage timing for the report; simulated results never read it
+		t0 := time.Now()
+		if err := r.fullRecord(mk, m, seed, rs.Recorder()); err != nil {
+			rs.Fail(err)
+			return nil, err
+		}
+		if rc, err = rs.Commit(); err != nil {
+			return nil, fmt.Errorf("exp: full-scale record: %w", err)
 		}
 		//schedlint:ignore nondeterminism host-side stage timing for the report
 		rep.RecordSec = time.Since(t0).Seconds()
-		dir, err := os.MkdirTemp("", "fullscale-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		path = filepath.Join(dir, "cell.dgts")
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		t0 = time.Now()
-		if err := dagtrace.WriteFramed(tr, path, 0); err != nil {
-			return nil, fmt.Errorf("exp: full-scale frame: %w", err)
-		}
-		//schedlint:ignore nondeterminism host-side stage timing for the report
-		rep.WriteSec = time.Since(t0).Seconds()
+	} else {
+		rep.RecordShared = true
 	}
-	if fi, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(rc.Path()); err == nil {
 		rep.TraceBytes = fi.Size()
 	}
-	// Release the arena before replaying: from here on, op bytes live only
-	// behind the window. (In the cache path the arena reference died with
-	// Fill's scope; the collector still needs the nudge before the replay
-	// allocates its address space.)
+
+	// Collect before the replays allocate their windows: a grid cell
+	// starts just as a finished neighbour's windows become garbage, and
+	// without a collection here the heap goal is set while two cells'
+	// windows are live — grid peak RSS then rises by about a third.
 	runtime.GC()
 
 	// Stage 2: reopen through the bounded window, charging the shared grid
 	// budget when one is set. Window size bounds decoder memory only —
 	// simulated results are invariant under it, which is what lets the
 	// grid and the cell split their windows freely.
-	st, err := dagtrace.OpenStreamBudget(path, window, o.budget)
+	st, err := rc.Open(window, o.budget)
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale open: %w", err)
 	}
@@ -308,11 +301,11 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 	// overlapping stage 4, on its own stream (CheckResult's lease-leak
 	// check assumes one replay per window). The deferred Wait runs before
 	// the deferred Closes: every return path joins it before streams close.
-	var ust *dagtrace.StreamTrace
+	var ust *dagtrace.Trace
 	var unsharded sync.WaitGroup
 	var replayErr error
 	if o.unsharded {
-		if ust, err = dagtrace.OpenStreamBudget(path, window, o.budget); err != nil {
+		if ust, err = rc.Open(window, o.budget); err != nil {
 			return nil, fmt.Errorf("exp: full-scale open: %w", err)
 		}
 		defer ust.Close()
@@ -342,7 +335,7 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 
 	// Stage 4: partition and replay sharded over the machine's sockets.
 	sockets := m.Levels[0].Fanout
-	part, err := dagtrace.PartitionStream(st, 2*sockets)
+	part, err := st.Partition(2 * sockets)
 	if err != nil {
 		return nil, fmt.Errorf("exp: full-scale partition: %w", err)
 	}
@@ -408,8 +401,8 @@ func (rep *FullCellReport) Print(w io.Writer) {
 	if rep.RecordShared {
 		shared = " (shared)"
 	}
-	fmt.Fprintf(w, "  host: record=%.2fs%s write=%.2fs replay=%.2fs sharded=%.2fs (shards=%d)\n",
-		rep.RecordSec, shared, rep.WriteSec, rep.ReplaySec, rep.ShardedSec, rep.Shards)
+	fmt.Fprintf(w, "  host: record=%.2fs%s replay=%.2fs sharded=%.2fs (shards=%d)\n",
+		rep.RecordSec, shared, rep.ReplaySec, rep.ShardedSec, rep.Shards)
 	fmt.Fprintf(w, "  memory: window=%d peak_window_bytes=%d runtime_sys=%.1fMB\n",
 		rep.Window, rep.PeakWindowB, rep.PeakSysMB)
 	fmt.Fprintf(w, "  sim: replay_wall=%d sharded_wall=%d l3_misses=%d stall=%d\n",

@@ -95,15 +95,18 @@ func TestFullCellCorruptFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline cell")
 	}
-	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	cache, err := dagtrace.NewCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner(Quick(), io.Discard)
-	r.FramedTraces = cache
+	r.Traces = cache
 	clean, err := r.FullCell("Quicksort", "sb")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if clean.Window >= clean.OpBytes {
+		t.Fatalf("window %d covers the %d-byte op stream; the test needs windowed replays", clean.Window, clean.OpBytes)
 	}
 	paths, err := filepath.Glob(filepath.Join(cache.Dir(), "*.dgts"))
 	if err != nil || len(paths) != 1 {
@@ -113,8 +116,8 @@ func TestFullCellCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frames are the file's tail; flip a byte in the middle of them.
-	off := clean.TraceBytes - clean.OpBytes/2
+	// Frames follow the 8-byte header; flip a byte in the middle of them.
+	off := 8 + clean.OpBytes/2
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)

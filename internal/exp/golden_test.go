@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -171,12 +173,10 @@ func TestLiveReplayEquivalence(t *testing.T) {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
-			rec := dagtrace.NewRecorder()
+			var file bytes.Buffer
+			rec := dagtrace.NewRecorder(&file, 0)
 			recRes := live(k.mk, "ws", rec)
-			tr, err := rec.Finish()
-			if err != nil {
-				t.Fatalf("recording: %v", err)
-			}
+			tr := openRecording(t, rec, &file)
 			if got, want := recRes.Fingerprint(), live(k.mk, "ws", nil).Fingerprint(); got != want {
 				t.Fatalf("recording run diverged from plain live run")
 			}
@@ -185,16 +185,86 @@ func TestLiveReplayEquivalence(t *testing.T) {
 					t.Errorf("%s/%s: replay fingerprint differs from live", k.name, sc)
 				}
 			}
-			rec2 := dagtrace.NewRecorder()
+			var file2 bytes.Buffer
+			rec2 := dagtrace.NewRecorder(&file2, 0)
 			replay(tr, "ws", rec2)
-			tr2, err := rec2.Finish()
-			if err != nil {
-				t.Fatalf("re-recording replay: %v", err)
-			}
-			if tr.Fingerprint() != tr2.Fingerprint() {
+			tr2 := openRecording(t, rec2, &file2)
+			if traceFingerprint(t, tr) != traceFingerprint(t, tr2) {
 				t.Errorf("%s: trace of replay differs from original trace", k.name)
 			}
 		})
+	}
+}
+
+// openRecording finishes a recording made into file and opens it
+// resident.
+func openRecording(t *testing.T, rec *dagtrace.Recorder, file *bytes.Buffer) *dagtrace.Trace {
+	t.Helper()
+	if err := rec.Finish(); err != nil {
+		t.Fatalf("recording: %v", err)
+	}
+	tr, err := dagtrace.NewTrace(bytes.NewReader(file.Bytes()), int64(file.Len()), math.MaxInt64, nil)
+	if err != nil {
+		t.Fatalf("opening recording: %v", err)
+	}
+	return tr
+}
+
+// traceFingerprint is Trace.Fingerprint with the error failing the test.
+func traceFingerprint(t *testing.T, tr *dagtrace.Trace) string {
+	t.Helper()
+	fp, err := tr.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
+// goldenTraceFingerprints pins the canonical content of the five quick
+// Fig. 8 recordings (ws, seed 1): counts, node table, child lists and
+// every strand's script in node order. The values were computed by the
+// whole-arena trace format this file format replaced; they must not
+// depend on where the recorder places scripts in the file.
+var goldenTraceFingerprints = map[string]string{
+	"Quicksort":       "4e99b6225ae89d64486a483a5a038a57f7d128496150ec097b568b2343b79fae",
+	"Samplesort":      "dc49fa3b50ab8f3b950cafe02e1bfa612b3d76259c0413cd3bd36120da24b108",
+	"AwareSamplesort": "fc2fa000dc4ed4525455303520090455d694addde0352f5b20c89d8a3969606d",
+	"Quad-Tree":       "d591d54dc9f5dd90b0d26bc3274f7b0d997cf4fac8bbc04685cc27458c529077",
+	"MatMul":          "1c999fe0f5715e27545dd68c627e76f0695cead46cec166eda1a3726f36eaa84",
+}
+
+// TestGoldenTraceFingerprints records each quick Fig. 8 kernel under ws
+// and checks its trace fingerprint against the golden table, read both
+// resident and through a one-frame window of a small-frame file (scripts
+// then straddle frame boundaries in completion order).
+func TestGoldenTraceFingerprints(t *testing.T) {
+	p := Quick()
+	m := p.MachineHT()
+	for kernel, want := range goldenTraceFingerprints {
+		mk, err := p.FullKernelFactory(kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := mem.NewSpacePaged(m.Links, m.Links, p.PageSize())
+		k := mk(sp, m, p.Seed)
+		var file bytes.Buffer
+		rec := dagtrace.NewRecorder(&file, 1<<16)
+		if _, err := sim.Run(sim.Config{
+			Machine: m, Space: sp, Scheduler: SchedulerFactories("ws")[0](), Seed: p.Seed, Listener: rec,
+		}, k.Root()); err != nil {
+			t.Fatalf("%s: %v", kernel, err)
+		}
+		tr := openRecording(t, rec, &file)
+		if got := traceFingerprint(t, tr); got != want {
+			t.Errorf("%s: resident trace fingerprint %s, golden %s", kernel, got, want)
+		}
+		st, err := dagtrace.NewTrace(bytes.NewReader(file.Bytes()), int64(file.Len()), 1<<16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := traceFingerprint(t, st); got != want {
+			t.Errorf("%s: windowed trace fingerprint %s, golden %s", kernel, got, want)
+		}
 	}
 }
 

@@ -69,10 +69,13 @@ type Runner struct {
 	// Traces, when non-nil, records each distinct computation (kernel ×
 	// seed) once and replays the capture in every other cell sharing it —
 	// scheduler, bandwidth and cost sweeps re-simulate the identical DAG
-	// without re-running kernel closures. nil runs every cell live.
+	// without re-running kernel closures; nil runs figure cells live. With
+	// a directory its recordings are files that later processes adopt.
+	// Full-scale cells always record to disk: into Traces when it has a
+	// directory, else into a private temporary one.
 	Traces *dagtrace.Cache
-	// KeepTraces retains traces in memory after their last grid cell
-	// finishes (default: evict per group to bound grid memory).
+	// KeepTraces retains recordings after their last grid cell finishes
+	// (default: forget them per group to bound grid memory).
 	KeepTraces bool
 	// Shards is the host-goroutine count for sharded full-scale replays
 	// (FullCell); it never changes results, only how many cores the fixed
@@ -81,13 +84,6 @@ type Runner struct {
 	// ReplayWindow bounds the decoder-resident bytes of streamed replays
 	// (FullCell); 0 means dagtrace.DefaultWindowBytes.
 	ReplayWindow int64
-	// FramedTraces, when non-nil, resolves full-scale recordings through a
-	// shared on-disk framed-trace cache: one recording per (kernel, scale,
-	// seed, machine) key, shared by every scheduler × bandwidth cell of a
-	// grid — and, because files are content-addressed, across processes.
-	// nil gives every FullCell a private temp recording; FullGrid then
-	// builds a grid-lifetime cache of its own.
-	FramedTraces *dagtrace.StreamCache
 	// GridBudget is the FullGrid token bucket over decoder-resident window
 	// bytes, shared by every concurrent cell's stream; 0 means
 	// max(ReplayWindow, dagtrace.DefaultWindowBytes) — concurrent cells
@@ -95,10 +91,11 @@ type Runner struct {
 	GridBudget int64
 }
 
-// NewRunner returns a Runner writing tables to out, with an in-memory
+// NewRunner returns a Runner writing tables to out, with a memory-only
 // trace cache enabled.
 func NewRunner(p Profile, out io.Writer) *Runner {
-	return &Runner{P: p, Out: out, Traces: dagtrace.NewCache("")}
+	traces, _ := dagtrace.NewCache("", 0) // memory-only: cannot fail
+	return &Runner{P: p, Out: out, Traces: traces}
 }
 
 // RunCell executes one cell: Reps repetitions with distinct seeds.

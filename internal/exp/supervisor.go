@@ -44,8 +44,8 @@ import (
 // the grid exactly like FullGrid: no journal, no deadline, no retries.
 type GridRunOpts struct {
 	// RunDir is the run's journal directory (manifest + cell records +
-	// the framed-trace cache when r.FramedTraces is unset). Empty
-	// disables journaling.
+	// the trace cache when r.Traces has no directory). Empty disables
+	// journaling.
 	RunDir string
 	// Resume continues the journal already in RunDir instead of refusing
 	// to overwrite it. The journal's manifest must match this run's
@@ -58,8 +58,8 @@ type GridRunOpts struct {
 	// or failed.
 	CellDeadline time.Duration
 	// CellRetries is how many times a failing cell is re-attempted after
-	// its first try. Between attempts the cell's shared framed recording
-	// is quarantined from the cache.
+	// its first try. Between attempts the cell's shared recording is
+	// quarantined from the cache.
 	CellRetries int
 	// RetryBackoff is the wait before the first retry, doubling per
 	// attempt; 0 means a second.
@@ -125,7 +125,7 @@ type gridSupervisor struct {
 	ctx     context.Context
 	opts    GridRunOpts
 	journal *runlog.Journal
-	cache   *dagtrace.StreamCache
+	cache   *dagtrace.Cache
 	budget  *dagtrace.Budget
 	m       *machine.Desc
 	window  int64 // every cell's decoder window: the budget's per-worker share
@@ -202,7 +202,7 @@ func (s *gridSupervisor) runCell(c GridCell, key string, priorAttempts int) (*Fu
 		}
 		lastErr = err
 		quarantined := false
-		if a < attempts && s.cache != nil {
+		if a < attempts {
 			// The recording this cell replayed may itself be the problem;
 			// evict it so the retry re-records from scratch.
 			if s.cache.Quarantine(s.r.framedKey(c.Kernel, s.m)) {

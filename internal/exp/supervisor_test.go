@@ -107,12 +107,12 @@ func TestFullGridResumeEquivalence(t *testing.T) {
 	// Reference: the same grid uninterrupted, adopting the recordings the
 	// journaled run already framed (adoption cannot change results — the
 	// file is content-addressed by the computation key).
-	refCache, err := dagtrace.NewStreamCache(filepath.Join(runDir, "traces"), 0)
+	refCache, err := dagtrace.NewCache(filepath.Join(runDir, "traces"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rRef := newGridRunner(io.Discard)
-	rRef.FramedTraces = refCache
+	rRef.Traces = refCache
 	ref, err := rRef.FullGrid(kernels, scheds, bands)
 	if err != nil {
 		t.Fatalf("reference grid: %v", err)
@@ -234,10 +234,10 @@ func TestSplitBudget(t *testing.T) {
 
 // gridReferences runs every cell of a one-kernel grid alone through
 // FullCellAt (the sequential reference) off the given cache.
-func gridReferences(t *testing.T, cache *dagtrace.StreamCache, kernel string, scheds []string, bands []int) map[GridCell]*FullCellReport {
+func gridReferences(t *testing.T, cache *dagtrace.Cache, kernel string, scheds []string, bands []int) map[GridCell]*FullCellReport {
 	t.Helper()
 	ref := newGridRunner(io.Discard)
-	ref.FramedTraces = cache
+	ref.Traces = cache
 	out := map[GridCell]*FullCellReport{}
 	for _, sn := range scheds {
 		for _, b := range bands {
@@ -260,14 +260,14 @@ func TestFullGridTinyBudgetOneWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid pipeline")
 	}
-	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	cache, err := dagtrace.NewCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := newGridRunner(io.Discard)
 	r.Workers = 2
 	r.GridBudget = 1
-	r.FramedTraces = cache
+	r.Traces = cache
 	scheds := []string{"sb", "sbd"}
 	rep, err := r.FullGrid([]string{"Quicksort"}, scheds, []int{1})
 	if err != nil {
@@ -294,7 +294,7 @@ func TestFullGridSplitWindowEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid pipeline")
 	}
-	cache, err := dagtrace.NewStreamCache(t.TempDir(), 0)
+	cache, err := dagtrace.NewCache(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestFullGridSplitWindowEquivalence(t *testing.T) {
 	r.Workers = 2
 	r.GridBudget = 16 << 20
 	r.ReplayWindow = 16 << 20
-	r.FramedTraces = cache
+	r.Traces = cache
 	scheds := []string{"sb", "sbd"}
 	rep, err := r.FullGrid([]string{"Quicksort"}, scheds, []int{1})
 	if err != nil {
@@ -314,8 +314,8 @@ func TestFullGridSplitWindowEquivalence(t *testing.T) {
 	}
 	refs := gridReferences(t, cache, "Quicksort", scheds, []int{1})
 	for _, c := range rep.Cells {
-		if c.Window != share {
-			t.Errorf("cell %s: window %d, want the %d share", c.Scheduler, c.Window, share)
+		if c.Window != share || c.Window >= c.OpBytes {
+			t.Errorf("cell %s: window %d, want the %d share, below the %d-byte op stream", c.Scheduler, c.Window, share, c.OpBytes)
 		}
 		want := refs[GridCell{c.Kernel, c.Scheduler, c.LinksUsed}]
 		if c.Fingerprint != want.Fingerprint || c.ShardedWall != want.ShardedWall {
@@ -325,11 +325,12 @@ func TestFullGridSplitWindowEquivalence(t *testing.T) {
 	}
 }
 
-// TestFullGridResumeOldJournal resumes a journal written before degraded
-// mode was removed: its done record carries "degraded":true and its
-// stored report "Degraded":true. Both fields are unknown now and must be
-// ignored — the cell is restored, and the rendered tables and
-// fingerprints equal an uninterrupted run's byte for byte.
+// TestFullGridResumeOldJournal resumes a journal written by older
+// releases: its done record carries "degraded":true and its stored report
+// "Degraded":true (degraded mode) and "WriteSec" (the frame stage). These
+// fields are unknown now and must be ignored — the cell is restored, and
+// the rendered tables and fingerprints equal an uninterrupted run's byte
+// for byte.
 func TestFullGridResumeOldJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid pipeline")
@@ -340,12 +341,12 @@ func TestFullGridResumeOldJournal(t *testing.T) {
 	runDir := filepath.Join(t.TempDir(), "run")
 
 	// The uninterrupted reference, whose recording the resumed run adopts.
-	cache, err := dagtrace.NewStreamCache(filepath.Join(runDir, "traces"), 0)
+	cache, err := dagtrace.NewCache(filepath.Join(runDir, "traces"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rRef := newGridRunner(io.Discard)
-	rRef.FramedTraces = cache
+	rRef.Traces = cache
 	ref, err := rRef.FullGrid(kernels, scheds, bands)
 	if err != nil {
 		t.Fatal(err)
@@ -372,6 +373,7 @@ func TestFullGridResumeOldJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	old["Degraded"] = true
+	old["WriteSec"] = 0.91
 	report, err := json.Marshal(old)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -44,32 +45,37 @@ func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
 	if r.Traces == nil {
 		return r.liveRep(c, seed, nil)
 	}
-	key := r.traceKey(c, seed)
-	tr, rec, err := r.Traces.GetOrReserve(key)
+	rc, rs, err := r.Traces.GetOrReserve(r.traceKey(c, seed))
 	switch {
-	case rec:
-		return r.recordRep(c, seed, key)
+	case errors.As(err, new(*dagtrace.WriteError)):
+		return nil, err
 	case err != nil:
 		// Recording was rejected (ErrUnsupported: futures) or failed — run
 		// live and untraced; a real simulation error will reproduce here.
 		return r.liveRep(c, seed, nil)
-	default:
-		return r.replayRep(c, seed, tr)
+	case rs != nil:
+		return r.recordRep(c, seed, rs)
 	}
-}
-
-// recordRep runs the cell live with a recorder attached and publishes the
-// outcome under key. Every path fills the reservation, so cache waiters
-// can never block on a recording that died.
-func (r *Runner) recordRep(c Cell, seed uint64, key string) (*sim.Result, error) {
-	rec := dagtrace.NewRecorder()
-	res, err := r.liveRep(c, seed, rec)
+	tr, err := rc.Resident()
 	if err != nil {
-		r.Traces.Fill(key, nil, err)
 		return nil, err
 	}
-	tr, terr := rec.Finish()
-	r.Traces.Fill(key, tr, terr)
+	return r.replayRep(c, seed, tr)
+}
+
+// recordRep runs the cell live with the reservation's recorder attached
+// and publishes the recording; every path ends the reservation, so cache
+// waiters never block on a recording that died. A recording failure other
+// than ErrUnsupported (a write error above all) fails the cell.
+func (r *Runner) recordRep(c Cell, seed uint64, rs *dagtrace.Reservation) (*sim.Result, error) {
+	res, err := r.liveRep(c, seed, rs.Recorder())
+	if err != nil {
+		rs.Fail(err)
+		return nil, err
+	}
+	if _, err := rs.Commit(); err != nil && !errors.Is(err, dagtrace.ErrUnsupported) {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -166,8 +172,8 @@ func (r *Runner) groupCounters(cells []Cell) []*int32 {
 	return counters
 }
 
-// dropTraces evicts every repetition key of c's group from the in-memory
-// cache (disk spills survive).
+// dropTraces evicts every repetition key of c's group from the cache
+// (recording files survive).
 func (r *Runner) dropTraces(c Cell) {
 	reps := r.P.Reps
 	if reps < 1 {

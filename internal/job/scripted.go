@@ -11,8 +11,8 @@ package job
 // fork that Script/ScriptFork describe.
 type Scripted interface {
 	Job
-	// Script returns the strand's encoded op stream: the shared arena and
-	// the [lo, hi) byte range holding this strand's ops. Address deltas
+	// Script returns the strand's encoded op stream: a buffer and the
+	// [lo, hi) byte range holding this strand's ops. Address deltas
 	// decode against a previous address starting at 0.
 	Script() (ops []byte, lo, hi int64)
 	// ScriptFork returns the strand's terminal fork: the continuation (nil
@@ -24,12 +24,13 @@ type Scripted interface {
 	ScriptFork() (cont Job, children []Job)
 }
 
-// StreamScripted is a Scripted whose Script bytes are leased from a
-// bounded decode window rather than borrowed from a resident arena: the
-// runtime must hand the returned buffer back through ReleaseScript once
-// the strand has fully executed, so the window can recycle it. Script may
-// be called again after a release (it fetches a fresh lease); the two
-// calls return byte-identical op streams.
+// StreamScripted is a Scripted whose Script bytes may be leased from a
+// bounded decode window rather than borrowed from a resident op stream:
+// the runtime must hand the returned buffer back through ReleaseScript
+// once the strand has fully executed, so the window can recycle it (for a
+// borrowed buffer the release is a no-op). Script may be called again
+// after a release (it fetches a fresh lease); the two calls return
+// byte-identical op streams.
 type StreamScripted interface {
 	Scripted
 	// ReleaseScript returns the buffer obtained from Script. Passing a

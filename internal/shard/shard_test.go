@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -12,9 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// recordParts records a deterministic fork/join program on m and
-// partitions its trace into k pieces.
-func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root) {
+// recordParts records a deterministic fork/join program on m into an
+// in-memory trace file with 512-byte frames, opens it resident and
+// partitions it into k pieces. It returns the file too.
+func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root, []byte) {
 	t.Helper()
 	sp := mem.NewSpace(m.Links, m.Links)
 	a := sp.NewF64("a", 4096)
@@ -27,17 +30,27 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 			c.Work(5)
 		}))
 	})
-	rec := dagtrace.NewRecorder()
+	var file bytes.Buffer
+	rec := dagtrace.NewRecorder(&file, 512)
 	if _, err := sim.Run(sim.Config{
 		Machine: m, Space: sp, Scheduler: sched.NewWS(), Seed: 11, Listener: rec,
 	}, root); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := rec.Finish()
+	if err := rec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := dagtrace.NewTrace(bytes.NewReader(file.Bytes()), int64(file.Len()), math.MaxInt64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := dagtrace.PartitionTrace(tr, k)
+	return tr, partRoots(t, tr, k), file.Bytes()
+}
+
+// partRoots partitions tr into k pieces and returns their roots.
+func partRoots(t *testing.T, tr *dagtrace.Trace, k int) []Root {
+	t.Helper()
+	p, err := tr.Partition(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +58,7 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 	for i, pc := range p.Pieces {
 		roots[i] = Root{Job: pc.Root, Weight: pc.Weight}
 	}
-	return tr, roots
+	return roots
 }
 
 // TestShardCountInvariance is the tentpole determinism guarantee: the
@@ -54,7 +67,7 @@ func recordParts(t *testing.T, m *machine.Desc, k int) (*dagtrace.Trace, []Root)
 // under -race this also proves the fan-out shares no simulation state.
 func TestShardCountInvariance(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, roots := recordParts(t, m, 4)
+	tr, roots, _ := recordParts(t, m, 4)
 	cfg := Config{Machine: m, MakeSched: func() sched.Scheduler { return sched.NewWS() }, Seed: 11}
 	var base *Result
 	for _, shards := range []int{1, 2, runtime.GOMAXPROCS(0), 64} {
@@ -83,32 +96,24 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardStreamedReplay runs the sharded replay over a framed trace:
+// TestShardStreamedReplay runs the sharded replay over a windowed trace:
 // concurrent sub-simulations lease scripts from one shared frame window,
-// and the result must match the whole-arena sharded replay exactly.
+// and the result must match the resident sharded replay exactly.
 func TestShardStreamedReplay(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	tr, arenaRoots := recordParts(t, m, 4)
-	path := t.TempDir() + "/trace.dgts"
-	if err := dagtrace.WriteFramed(tr, path, 512); err != nil {
-		t.Fatal(err)
-	}
-	st, err := dagtrace.OpenStream(path, 4096)
+	_, residentRoots, file := recordParts(t, m, 4)
+	st, err := dagtrace.NewTrace(bytes.NewReader(file), int64(len(file)), 4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	p, err := dagtrace.PartitionStream(st, 4)
-	if err != nil {
-		t.Fatal(err)
+	if st.OpBytes() <= 4096 {
+		t.Fatalf("a %d-byte op stream fits the 4096-byte window", st.OpBytes())
 	}
-	roots := make([]Root, len(p.Pieces))
-	for i, pc := range p.Pieces {
-		roots[i] = Root{Job: pc.Root, Weight: pc.Weight}
-	}
+	roots := partRoots(t, st, 4)
 	cfg := Config{Machine: m, MakeSched: func() sched.Scheduler { return sched.NewWS() }, Seed: 11}
 	cfg.Shards = 1
-	arena, err := Replay(cfg, arenaRoots)
+	resident, err := Replay(cfg, residentRoots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +123,12 @@ func TestShardStreamedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if res.Fingerprint() != arena.Fingerprint() {
-			t.Errorf("shards=%d: streamed sharded replay differs from arena sharded replay", shards)
+		if res.Fingerprint() != resident.Fingerprint() {
+			t.Errorf("shards=%d: windowed sharded replay differs from resident sharded replay", shards)
 		}
 	}
 	if peak := st.PeakResidentBytes(); peak >= st.OpBytes() {
-		t.Errorf("sharded streamed replay held %d bytes resident of a %d-byte op stream", peak, st.OpBytes())
+		t.Errorf("sharded windowed replay held %d bytes resident of a %d-byte op stream", peak, st.OpBytes())
 	}
 }
 
@@ -132,7 +137,7 @@ func TestShardStreamedReplay(t *testing.T) {
 // be identical across calls.
 func TestShardAssignmentBalance(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	_, roots := recordParts(t, m, 4)
+	_, roots, _ := recordParts(t, m, 4)
 	cfg := Config{Machine: m, MakeSched: func() sched.Scheduler { return sched.NewWS() }, Seed: 11, Shards: 1}
 	a, err := Replay(cfg, roots)
 	if err != nil {
@@ -164,7 +169,7 @@ func TestShardAssignmentBalance(t *testing.T) {
 // out-of-range values.
 func TestShardLinksUsedDerating(t *testing.T) {
 	m := machine.TwoSocket(4, 1<<16, 1<<12)
-	_, roots := recordParts(t, m, 4)
+	_, roots, _ := recordParts(t, m, 4)
 	mk := func() sched.Scheduler { return sched.NewWS() }
 	full, err := Replay(Config{Machine: m, MakeSched: mk, Seed: 11}, roots)
 	if err != nil {
@@ -207,7 +212,7 @@ func TestShardLinksUsedDerating(t *testing.T) {
 func TestShardRejectsLinkMismatch(t *testing.T) {
 	m := machine.TwoSocket(2, 1<<14, 1<<12)
 	m.Links = 1
-	_, roots := recordParts(t, machine.TwoSocket(2, 1<<14, 1<<12), 2)
+	_, roots, _ := recordParts(t, machine.TwoSocket(2, 1<<14, 1<<12), 2)
 	cfg := Config{Machine: m, MakeSched: func() sched.Scheduler { return sched.NewWS() }, Seed: 1, Shards: 1}
 	if _, err := Replay(cfg, roots); err == nil {
 		t.Fatal("link/socket mismatch accepted")
