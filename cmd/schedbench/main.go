@@ -64,7 +64,7 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write each figure's rows as CSV into this directory")
 		benchJSON  = flag.String("benchjson", "", "run the perf harness instead of experiments and write the report to this file (e.g. BENCH_sim.json)")
 		traceDir   = flag.String("tracecache", "", "record DAG traces as files in this directory and reload them across runs, in every experiment (empty = in memory; cell/fullgrid then record to a temporary directory)")
-		minHit     = flag.Float64("mintracehit", -1, "exit 1 if the trace-cache hit rate ends below this percentage (negative = no check)")
+		minHit     = flag.Float64("mintracehit", -1, "exit 1 if the trace-cache hit rate ends below this percentage (negative = no check; cell/fullgrid need -tracecache)")
 		noTrace    = flag.Bool("notrace", false, "disable record/replay: execute every grid cell live")
 		kernel     = flag.String("kernel", "Quicksort", "cell experiment: kernel name (RRM|RRG|Quicksort|Samplesort|AwareSamplesort|Quad-Tree|MatMul)")
 		schedName  = flag.String("sched", "sb", "cell experiment: scheduler name")
@@ -101,6 +101,10 @@ func main() {
 	}
 	if *noTrace && *minHit >= 0 {
 		fatalUsage("-notrace conflicts with -mintracehit %.1f (no cache means no hit rate)", *minHit)
+	}
+	diskOnly := *experiment == "cell" || *experiment == "fullgrid"
+	if diskOnly && *traceDir == "" && *minHit >= 0 {
+		fatalUsage("-mintracehit needs -tracecache with -experiment %s (its recordings otherwise go to a directory of its own)", *experiment)
 	}
 	if *benchJSON != "" {
 		flag.Visit(func(f *flag.Flag) {
@@ -230,12 +234,21 @@ func main() {
 	r.Verbose = *verbose
 	r.Shards = *shards
 	r.ReplayWindow = *window
-	traces, err := newTraces(*traceDir, *noTrace)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "schedbench: -tracecache: %v\n", err)
-		os.Exit(1)
+	switch {
+	case *noTrace || *traceDir == "" && diskOnly:
+		// cell and fullgrid record into a directory of their own
+		// (Runner.Traces): no memory-only cache to report on.
+		r.Traces = nil
+	case *traceDir != "":
+		// Fail before any experiment starts, not halfway through a grid
+		// that silently kept its recordings in memory.
+		tc, err := dagtrace.NewCache(*traceDir, 0)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "schedbench: -tracecache: %v\n", err)
+			os.Exit(1)
+		}
+		r.Traces = tc
 	}
-	r.Traces = traces
 	reportTraces := func() {
 		if r.Traces == nil {
 			return
@@ -386,17 +399,6 @@ func main() {
 		run(*experiment, f)
 	}
 	reportTraces()
-}
-
-// newTraces returns the trace cache of every experiment: none with
-// -notrace, files under dir with -tracecache, memory-only otherwise. A
-// directory that cannot be created is an error, which main reports
-// before any experiment starts instead of running without the files.
-func newTraces(dir string, noTrace bool) (*dagtrace.Cache, error) {
-	if noTrace {
-		return nil, nil
-	}
-	return dagtrace.NewCache(dir, 0)
 }
 
 // splitCSV splits a comma-separated flag value, trimming blanks.

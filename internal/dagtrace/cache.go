@@ -9,9 +9,11 @@ package dagtrace
 // until the recording lands and then replays it.
 //
 // With a directory, recordings are content-addressed files written
-// atomically (tmp + rename) and revalidated when a later process adopts
-// them. Without one, the cache is memory-only: recordings are trace files
-// held in memory, for the figure grids of a single process.
+// atomically (tmp + rename); a later process adopts one after checking
+// its metadata, and a replay that finds a damaged frame evicts it with
+// Reject so the key re-records. Without a directory, the cache is
+// memory-only: recordings are trace files held in memory, for the figure
+// grids of a single process.
 
 import (
 	"bytes"
@@ -23,7 +25,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"time"
 )
 
 // Stats reports cache effectiveness. A Hit is a resolution that replays a
@@ -32,8 +36,9 @@ import (
 // is a resolution whose recording failed or was rejected
 // (ErrUnsupported), which runs live instead. Corrupt counts trace files
 // that failed to validate (truncated or bit-rotted) and were evicted from
-// disk; each also counts as a Miss, since its cell falls back to
-// re-recording.
+// disk — at adoption, or by Reject once a replay read a damaged frame
+// (which takes back the Hit that handed the file out); each also counts
+// as a Miss, since its cell falls back to re-recording.
 type Stats struct {
 	Hits      int64
 	DiskHits  int64
@@ -111,11 +116,39 @@ func NewCache(dir string, frameSize int64) (*Cache, error) {
 // watchdog-abandoned attempt still running while a resumed process
 // records the key again — and each must rename only its own bytes.
 func createTemp(path string) (io.WriteCloser, string, error) {
+	removeStaleTemps(path)
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return nil, "", err
 	}
 	return f, f.Name(), nil
+}
+
+// processStart bounds which temporary files may still be written: one
+// last modified before this process started belongs to no live attempt.
+//
+//schedlint:ignore nondeterminism host-side file age for temp-file cleanup; never reaches simulation state
+var processStart = time.Now()
+
+// removeStaleTemps deletes path's temporary files that no attempt of this
+// process can own — a recording killed mid-write (a crash before a
+// resume) leaves one that is otherwise never removed. A file modified
+// since this process started may belong to a live attempt and stays.
+func removeStaleTemps(path string) {
+	dir, base := filepath.Split(path)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, ent := range ents {
+		name := ent.Name()
+		if !strings.HasPrefix(name, base+".") || !strings.HasSuffix(name, ".tmp") {
+			continue
+		}
+		if fi, err := ent.Info(); err == nil && fi.ModTime().Before(processStart) {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 // Dir returns the cache's directory; "" for a memory-only cache.
@@ -124,8 +157,9 @@ func (c *Cache) Dir() string { return c.dir }
 // Recording is a finished trace file in the cache: on disk when the cache
 // has a directory, in memory otherwise.
 type Recording struct {
-	path string
-	data bytesFile
+	path    string
+	data    bytesFile
+	adopted bool // adopted from a previous process's file
 
 	once     sync.Once
 	resident *Trace
@@ -321,17 +355,44 @@ func (c *Cache) Drop(key string) {
 func (c *Cache) Quarantine(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.evict(key, nil) {
+		return false
+	}
+	c.stats.Quarantined++
+	return true
+}
+
+// Reject evicts rc, the recording key resolved to, after a replay found
+// it corrupt (ErrCorrupt): adoption checks only a file's metadata, so a
+// damaged frame surfaces when a replay reads it. The cache entry and the
+// file go, the file counts in Stats.Corrupt, and the next GetOrReserve
+// re-records. rc must be a GetOrReserve hit, which no longer counts.
+// When key already resolves to another recording — a concurrent replay
+// rejected rc first and the key re-recorded — Reject leaves it alone.
+func (c *Cache) Reject(key string, rc *Recording) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Hits--
+	if c.evict(key, rc) {
+		if rc.adopted {
+			c.stats.DiskHits--
+		}
+		fmt.Fprintf(os.Stderr, "dagtrace: evicted corrupt trace (key %q) for re-recording\n", key)
+		c.stats.Corrupt++
+	}
+}
+
+// evict deletes key's published entry, provided it holds rc when rc is
+// non-nil, and the key's file; it reports whether either existed.
+// Callers hold mu.
+func (c *Cache) evict(key string, rc *Recording) bool {
 	e := c.entries[key]
-	if e != nil && !e.done {
+	if e != nil && (!e.done || rc != nil && e.rec != rc) {
 		return false
 	}
 	delete(c.entries, key)
 	removed := c.dir != "" && os.Remove(c.path(key)) == nil
-	if e != nil || removed {
-		c.stats.Quarantined++
-		return true
-	}
-	return false
+	return e != nil || removed
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -374,5 +435,5 @@ func (c *Cache) adoptDisk(key string) (*Recording, bool) {
 		return nil, false
 	}
 	t.Close()
-	return &Recording{path: p}, true
+	return &Recording{path: p, adopted: true}, true
 }

@@ -132,8 +132,10 @@ func TestCacheFallbackAndDrop(t *testing.T) {
 
 // TestCacheDiskSpill: a recording in a cache with a directory is a file
 // that seeds a second cache instance without re-recording. A damaged
-// metadata trailer forces a fresh recording; a damaged frame passes the
-// metadata-only adoption check but fails the moment a replay reads it.
+// metadata trailer forces a fresh recording at adoption; a damaged frame
+// passes the metadata-only adoption check, fails the resident open with
+// ErrCorrupt, and — once the replay rejects it — forces a fresh recording
+// too, counted as corrupt.
 func TestCacheDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	c1 := newCache(t, dir, 1<<10)
@@ -160,12 +162,24 @@ func TestCacheDiskSpill(t *testing.T) {
 	if err := os.WriteFile(files[0], frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rc, rs, err = newCache(t, dir, 1<<10).GetOrReserve("k")
+	c3 := newCache(t, dir, 1<<10)
+	rc, rs, err = c3.GetOrReserve("k")
 	if err != nil || rs != nil {
 		t.Fatalf("frame damage must pass adoption: reservation=%v err=%v", rs != nil, err)
 	}
-	if _, err := rc.Resident(); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("resident open of a damaged frame: err = %v, want a checksum error", err)
+	if _, err := rc.Resident(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("resident open of a damaged frame: err = %v, want ErrCorrupt", err)
+	}
+	c3.Reject("k", rc)
+	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+		t.Fatalf("rejected file still on disk (stat err %v)", err)
+	}
+	fill(t, reserve(t, c3, "k"), 512) // a corrupt frame should force a fresh recording
+	if s := c3.Stats(); s.Corrupt != 1 || s.Misses != 1 || s.Hits != 0 || s.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want Corrupt=1 Misses=1 and no hit", s)
+	}
+	if got := fingerprint(t, openRecording(t, mustGet(t, newCache(t, dir, 1<<10), "k"))); got != want {
+		t.Fatal("re-recorded trace fingerprint differs")
 	}
 
 	data[len(data)-footerLen-1] ^= 0xff
@@ -174,6 +188,120 @@ func TestCacheDiskSpill(t *testing.T) {
 	}
 	if _, rs, _ := newCache(t, dir, 1<<10).GetOrReserve("k"); rs == nil {
 		t.Fatal("corrupt metadata should force a fresh recording")
+	}
+}
+
+// mustGet resolves key to a published recording.
+func mustGet(t *testing.T, c *Cache, key string) *Recording {
+	t.Helper()
+	rc, rs, err := c.GetOrReserve(key)
+	if err != nil || rs != nil {
+		t.Fatalf("GetOrReserve(%q): reservation=%v err=%v, want a recording", key, rs != nil, err)
+	}
+	return rc
+}
+
+// TestCacheRejectOnce: concurrent replays that all hold one damaged
+// recording reject it and resolve the key again. Exactly one evicts it and
+// re-records; the others must neither evict the fresh recording nor count
+// the file twice, and every damaged hit is taken back.
+func TestCacheRejectOnce(t *testing.T) {
+	c := newCache(t, t.TempDir(), 1<<10)
+	fill(t, reserve(t, c, "k"), 256)
+	const n = 4
+	bad := mustGet(t, c, "k")
+	for i := 1; i < n; i++ {
+		if mustGet(t, c, "k") != bad {
+			t.Fatal("hits resolved to different recordings")
+		}
+	}
+	reservations := make(chan *Reservation, n)
+	got := make([]*Recording, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c.Reject("k", bad)
+			rc, rs, err := c.GetOrReserve("k")
+			if err != nil {
+				t.Error(err)
+			}
+			if rs != nil {
+				reservations <- rs
+			}
+			got[i] = rc
+		}(i)
+	}
+	good := fill(t, <-reservations, 256)
+	wg.Wait()
+	if len(reservations) != 0 {
+		t.Fatalf("%d more re-recordings of one rejected key", len(reservations))
+	}
+	for i, rc := range got {
+		if rc != nil && rc != good {
+			t.Fatalf("replay %d resolved to %p, want the re-recording %p", i, rc, good)
+		}
+	}
+	if _, err := os.Stat(good.Path()); err != nil {
+		t.Fatalf("re-recorded file gone: %v", err)
+	}
+	if s := c.Stats(); s.Corrupt != 1 || s.Hits != n-1 || s.Misses != 2 {
+		t.Fatalf("stats = %+v, want Corrupt=1 Hits=%d Misses=2", s, n-1)
+	}
+}
+
+// TestNewCache: a directory is created, one that cannot be (a path under
+// a regular file) is an error rather than a silent memory-only cache, and
+// no directory means memory-only.
+func TestNewCache(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCache(filepath.Join(file, "tc"), 0); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("cache under a regular file: err = %v, want a not-a-directory error", err)
+	}
+	dir := filepath.Join(t.TempDir(), "tc")
+	if c := newCache(t, dir, 0); c.Dir() != dir {
+		t.Fatalf("cache dir %q, want %q", c.Dir(), dir)
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("NewCache did not create %s (%v)", dir, err)
+	}
+	if c := newCache(t, "", 0); c.Dir() != "" {
+		t.Fatalf("no directory: want a memory-only cache, got dir %q", c.Dir())
+	}
+}
+
+// TestCacheRemovesStaleTemps: reserving a key removes that key's
+// temporary files left by a process killed mid-recording, but not one
+// modified since this process started (it may be a live attempt's), nor
+// another key's.
+func TestCacheRemovesStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	c := newCache(t, dir, 1<<10)
+	p := c.path("k")
+	stale, live, other := p+".123.tmp", p+".456.tmp", c.path("other")+".789.tmp"
+	old := processStart.Add(-time.Hour)
+	for _, f := range []string{stale, live, other} {
+		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if f != live {
+			if err := os.Chtimes(f, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(t, reserve(t, c, "k"), 256)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale temp of the key survived (stat err %v)", err)
+	}
+	for _, f := range []string{live, other} {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("%s removed: %v", filepath.Base(f), err)
+		}
 	}
 }
 

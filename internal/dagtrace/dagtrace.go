@@ -35,6 +35,12 @@ import "errors"
 // (futures, multiple roots). Recording fails softly: callers run live.
 var ErrUnsupported = errors.New("dagtrace: computation not traceable")
 
+// ErrCorrupt marks trace bytes that fail their checksum (bit rot, a torn
+// write). Opening a file checks only the metadata, so a damaged frame
+// surfaces when a replay reads it; a cache then evicts the file with
+// Cache.Reject and the key re-records.
+var ErrCorrupt = errors.New("dagtrace: corrupt trace file")
+
 // node is one strand of the recorded computation. Offsets index the op
 // stream and the child table of the owning Trace, keeping the whole DAG in
 // a few flat allocations regardless of strand count.

@@ -189,7 +189,7 @@ func NewTrace(r io.ReaderAt, size, windowBytes int64, budget *Budget) (*Trace, e
 	}
 	body, sum := tail[:len(tail)-8], binary.LittleEndian.Uint64(tail[len(tail)-8:])
 	if frameSum(body) != sum {
-		return nil, fmt.Errorf("dagtrace: framed-trace metadata checksum mismatch")
+		return nil, fmt.Errorf("dagtrace: framed-trace metadata checksum mismatch: %w", ErrCorrupt)
 	}
 	ft := body[metaLen:]
 	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(ft[4+8*i:]) }
@@ -447,7 +447,7 @@ func (t *Trace) readFrame(f int64, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("dagtrace: frame %d read: %w", f, err)
 	}
 	if frameSum(data) != t.frameSums[f] {
-		return nil, fmt.Errorf("dagtrace: frame %d checksum mismatch (corrupt trace file)", f)
+		return nil, fmt.Errorf("dagtrace: frame %d checksum mismatch: %w", f, ErrCorrupt)
 	}
 	return data, nil
 }

@@ -7,6 +7,7 @@ package exp
 // completes in minutes with decoder memory independent of the trace size.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -212,7 +213,7 @@ func (r *Runner) FullCellAt(kernel, schedName string, linksUsed int) (*FullCellR
 	return r.fullCell(kernel, schedName, fullCellOpts{linksUsed: linksUsed, unsharded: true})
 }
 
-func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellReport, error) {
+func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (_ *FullCellReport, err error) {
 	mk, err := r.P.FullKernelFactory(kernel)
 	if err != nil {
 		return nil, err
@@ -274,6 +275,16 @@ func (r *Runner) fullCell(kernel, schedName string, o fullCellOpts) (*FullCellRe
 		rep.RecordSec = time.Since(t0).Seconds()
 	} else {
 		rep.RecordShared = true
+	}
+	if o.cache == nil {
+		// A damaged frame fails the replay that reads it; evict the file so
+		// the next run re-records it. Grid cells leave that to the
+		// supervisor, which quarantines before its retry.
+		defer func() {
+			if errors.Is(err, dagtrace.ErrCorrupt) {
+				cache.Reject(key, rc)
+			}
+		}()
 	}
 	if fi, err := os.Stat(rc.Path()); err == nil {
 		rep.TraceBytes = fi.Size()

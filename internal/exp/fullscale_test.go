@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dagtrace"
+	"repro/internal/sim"
 )
 
 // TestFullScaleProfiles pins the scale arithmetic: x64 is Paper, and x1
@@ -85,12 +87,81 @@ func TestFullCellShardInvariance(t *testing.T) {
 	_ = base
 }
 
+// damageFrame flips one byte in the middle of the frames of dir's one
+// cached recording.
+func damageFrame(t *testing.T, dir string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.dgts"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("want one cached recording, got %v (%v)", paths, err)
+	}
+	tr, err := dagtrace.OpenTrace(paths[0], 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 8 + tr.OpBytes()/2 // frames follow the 8-byte header
+	tr.Close()
+	f, err := os.OpenFile(paths[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRepReRecordsCorruptFrame: a figure cell adopting a recording
+// whose frame is damaged (metadata intact, so adoption accepts it) must
+// reject it, re-record, and return the same result as the original run,
+// counting the file corrupt; the next process then replays the fresh file.
+func TestRunRepReRecordsCorruptFrame(t *testing.T) {
+	p := Quick()
+	m := p.MachineHT()
+	c := Cell{Label: "Quicksort", Scheduler: "sb", Machine: m, LinksUsed: m.Links,
+		MakeK: p.QuicksortFactory(), MakeS: SchedulerFactories("sb")[0]}
+	dir := t.TempDir()
+	run := func() (*sim.Result, dagtrace.Stats) {
+		t.Helper()
+		cache, err := dagtrace.NewCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(p, io.Discard)
+		r.Traces = cache
+		res, err := r.runRep(c, p.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cache.Stats()
+	}
+	want, _ := run()
+	damageFrame(t, dir)
+	got, s := run()
+	if s.Corrupt != 1 || s.Misses != 1 || s.Hits != 0 {
+		t.Fatalf("stats over a damaged frame = %+v, want Corrupt=1 Misses=1 Hits=0 (a fresh recording)", s)
+	}
+	if got.WallCycles != want.WallCycles || got.Strands != want.Strands || got.L3Misses() != want.L3Misses() {
+		t.Fatal("re-recorded cell result differs from the original run")
+	}
+	if _, s := run(); s.DiskHits != 1 || s.Corrupt != 0 {
+		t.Fatalf("stats after re-recording = %+v, want the fresh file adopted", s)
+	}
+}
+
 // TestFullCellCorruptFrame flips one byte inside a frame of a cached
 // recording. The overlapped cell must return the checksum error only
 // once both replays have returned: no replay goroutine may outlive the
 // call, and both streams must be closed (the shared budget drains to
 // zero). A grid-style cell, which runs only the sharded replay, must
-// report the corruption too.
+// report the corruption too. The cell experiment's path (FullCell, no
+// grid supervisor) also evicts the damaged file, so its next run
+// re-records instead of failing the same way.
 func TestFullCellCorruptFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline cell")
@@ -108,25 +179,7 @@ func TestFullCellCorruptFrame(t *testing.T) {
 	if clean.Window >= clean.OpBytes {
 		t.Fatalf("window %d covers the %d-byte op stream; the test needs windowed replays", clean.Window, clean.OpBytes)
 	}
-	paths, err := filepath.Glob(filepath.Join(cache.Dir(), "*.dgts"))
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("want one cached recording, got %v (%v)", paths, err)
-	}
-	f, err := os.OpenFile(paths[0], os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Frames follow the 8-byte header; flip a byte in the middle of them.
-	off := 8 + clean.OpBytes/2
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x40
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	damageFrame(t, cache.Dir())
 
 	for _, unsharded := range []bool{true, false} {
 		base := runtime.NumGoroutine()
@@ -146,6 +199,21 @@ func TestFullCellCorruptFrame(t *testing.T) {
 		if used := budget.Used(); used != 0 {
 			t.Errorf("unsharded=%v: %d budget bytes still charged after the failed cell (stream left open)", unsharded, used)
 		}
+	}
+
+	if _, err := r.FullCell("Quicksort", "sb"); !errors.Is(err, dagtrace.ErrCorrupt) {
+		t.Fatalf("cell over a damaged frame: err = %v, want ErrCorrupt", err)
+	}
+	if s := cache.Stats(); s.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want the damaged file counted corrupt", s)
+	}
+	got, err := r.FullCell("Quicksort", "sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.RecordShared || got.Fingerprint != clean.Fingerprint {
+		t.Fatalf("after eviction: shared=%v fingerprint %s, want a fresh recording replaying to %s",
+			got.RecordShared, got.Fingerprint, clean.Fingerprint)
 	}
 }
 

@@ -40,40 +40,52 @@ func (r *Runner) traceKey(c Cell, seed uint64) string {
 }
 
 // runRep executes one repetition of cell c: through the trace cache when
-// one is configured (record once, replay everywhere), live otherwise.
+// one is configured (record once, replay everywhere), live otherwise. A
+// recording adopted from disk whose frames turn out damaged is rejected
+// and the key resolved once more, so the cell re-records it.
 func (r *Runner) runRep(c Cell, seed uint64) (*sim.Result, error) {
 	if r.Traces == nil {
 		return r.liveRep(c, seed, nil)
 	}
-	rc, rs, err := r.Traces.GetOrReserve(r.traceKey(c, seed))
-	switch {
-	case errors.As(err, new(*dagtrace.WriteError)):
-		return nil, err
-	case err != nil:
-		// Recording was rejected (ErrUnsupported: futures) or failed — run
-		// live and untraced; a real simulation error will reproduce here.
-		return r.liveRep(c, seed, nil)
-	case rs != nil:
-		return r.recordRep(c, seed, rs)
+	key := r.traceKey(c, seed)
+	for retried := false; ; retried = true {
+		rc, rs, err := r.Traces.GetOrReserve(key)
+		switch {
+		case errors.As(err, new(*dagtrace.WriteError)):
+			return nil, err
+		case err != nil:
+			// Recording was rejected (ErrUnsupported: futures) or failed —
+			// run live and untraced; a real simulation error will
+			// reproduce here.
+			return r.liveRep(c, seed, nil)
+		case rs != nil:
+			return r.recordRep(c, seed, rs)
+		}
+		tr, err := rc.Resident()
+		if errors.Is(err, dagtrace.ErrCorrupt) && !retried {
+			r.Traces.Reject(key, rc)
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return r.replayRep(c, seed, tr)
 	}
-	tr, err := rc.Resident()
-	if err != nil {
-		return nil, err
-	}
-	return r.replayRep(c, seed, tr)
 }
 
 // recordRep runs the cell live with the reservation's recorder attached
 // and publishes the recording; every path ends the reservation, so cache
-// waiters never block on a recording that died. A recording failure other
-// than ErrUnsupported (a write error above all) fails the cell.
+// waiters never block on a recording that died. Failing to write the
+// trace file fails the cell; a recording rejected for any other reason
+// (ErrUnsupported, a structural cross-check in Finish) publishes its
+// error and the cell keeps its verified live result.
 func (r *Runner) recordRep(c Cell, seed uint64, rs *dagtrace.Reservation) (*sim.Result, error) {
 	res, err := r.liveRep(c, seed, rs.Recorder())
 	if err != nil {
 		rs.Fail(err)
 		return nil, err
 	}
-	if _, err := rs.Commit(); err != nil && !errors.Is(err, dagtrace.ErrUnsupported) {
+	if _, err := rs.Commit(); errors.As(err, new(*dagtrace.WriteError)) {
 		return nil, err
 	}
 	return res, nil
