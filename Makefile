@@ -161,7 +161,8 @@ fullgrid-resume-smoke:
 # fuzz smoke-runs the codec fuzz targets for a few seconds each (go test
 # accepts exactly one -fuzz pattern per invocation, hence one run per
 # target): the opcode varint codecs, the framed-trace stream decoder, the
-# cache hierarchy against its naive reference LRU model, and the
+# cache hierarchy and the replay interpreter's multi-op scripts against
+# the naive reference LRU model, and the
 # //schedlint: directive parser (malformed directives must parse into
 # findings, never panic or silently grant exemptions). Corpus additions
 # land under <pkg>/testdata/fuzz/.
@@ -171,6 +172,7 @@ fuzz:
 	$(GO) test ./internal/opcode/ -run '^$$' -fuzz '^FuzzZigzagRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/dagtrace/ -run '^$$' -fuzz '^FuzzFramedDecode$$' -fuzztime 5s
 	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 5s
+	$(GO) test ./internal/cachesim/ -run '^$$' -fuzz '^FuzzScriptVsReference$$' -fuzztime 5s
 	$(GO) test ./internal/runlog/ -run '^$$' -fuzz '^FuzzRunlogDecode$$' -fuzztime 5s
 	$(GO) test ./internal/lint/analysis/ -run '^$$' -fuzz '^FuzzDirective$$' -fuzztime 5s
 

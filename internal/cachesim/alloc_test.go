@@ -8,8 +8,8 @@ import (
 )
 
 // Allocation regression tests: Hierarchy.Access is the simulator's hottest
-// function and must not allocate on either the memoized hit path or the
-// full probe/fill walk.
+// function and must not allocate on either the innermost-hit fast path or
+// the full probe/fill walk.
 
 func TestAccessHitPathZeroAllocs(t *testing.T) {
 	d := machine.Xeon7560()
@@ -22,7 +22,7 @@ func TestAccessHitPathZeroAllocs(t *testing.T) {
 		h.Access(0, clock, a, false)
 		clock++
 	}); n != 0 {
-		t.Errorf("memo fast path allocates %.1f per access, want 0", n)
+		t.Errorf("innermost-hit fast path allocates %.1f per access, want 0", n)
 	}
 }
 

@@ -20,6 +20,31 @@ func BenchmarkAccessHit(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessTwoStreams measures RRM's access pattern: read a[i],
+// write b[i], on two page-aligned arrays that fit in L1 together, so
+// a[i] and b[i] share a set and every access is an L1 hit on a line that
+// is not the previous access's.
+func BenchmarkAccessTwoStreams(b *testing.B) {
+	d := machine.Xeon7560()
+	sp := mem.NewSpace(d.Links, d.Links)
+	h := New(d, sp)
+	const n = 1 << 10 // 8KB per array
+	x, y := sp.Alloc("a", 8*n), sp.Alloc("b", 8*n)
+	for i := 0; i < n; i++ {
+		h.Access(0, 0, x+mem.Addr(8*i), false)
+		h.Access(0, 0, y+mem.Addr(8*i), true)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := mem.Addr(8 * (i / 2 % n))
+		if i&1 == 0 {
+			h.Access(0, int64(i), x+off, false)
+		} else {
+			h.Access(0, int64(i), y+off, true)
+		}
+	}
+}
+
 // BenchmarkAccessStream measures a streaming scan (mostly misses at the
 // inner levels, periodic DRAM accesses).
 func BenchmarkAccessStream(b *testing.B) {

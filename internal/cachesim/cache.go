@@ -163,10 +163,15 @@ func (c *Cache) setOf(ln uint64) int {
 	return int(ln % uint64(c.sets))
 }
 
-// find is the probe of the access fast path: it returns the way holding
-// ln (victim -1), or way -1 plus the way a fill of this set would evict —
+// find is the probe of every access: it returns the way holding ln
+// (victim -1), or way -1 plus the way a fill of this set would evict —
 // the least-recently-used way, or an invalid one if the set has any. The
-// victim stays valid as long as the set is not modified in between, which
+// set's two most recent ways, read from its recency word, are compared
+// before the scan, so two streams interleaved in one set (an RRM strand's
+// page-aligned a[i] and b[i]) hit on the first or second compare. A
+// single-way set's rank-1 byte is 0xff; masked to way 7 it names a slot
+// that is never filled, whose tag 0 matches no line. The victim stays
+// valid as long as the set is not modified in between, which
 // Hierarchy.Access guarantees (each cache appears once on a path and
 // nothing touches a missed cache between its probe and its fill).
 //
@@ -175,13 +180,20 @@ func (c *Cache) find(ln uint64) (way, victim int) {
 	tag := ln + 1
 	s := c.setOf(ln)
 	base := s << wayShift
+	r := c.recency[s]
+	if w := base | int(r&wayMask); c.tags[w] == tag {
+		return w, -1
+	}
+	if w := base | int(r>>8&wayMask); c.tags[w] == tag {
+		return w, -1
+	}
 	// The set-sized slice lets the compiler drop bounds checks.
 	for i, t := range c.tags[base : base+c.assoc] {
 		if t == tag {
 			return base + i, -1
 		}
 	}
-	return -1, base + int(c.recency[s]>>c.lruShift&0xff)
+	return -1, base + int(r>>c.lruShift&0xff)
 }
 
 // findWay returns the way holding ln, or -1, without touching any state.
@@ -311,9 +323,7 @@ func (c *Cache) Reset() {
 // bits — while preserving the hit/miss counters. It models an
 // interference event (fault.Flush) wiping cache contents mid-run: the
 // lost dirty lines are not written back, matching a co-tenant evicting
-// them through its own traffic whose bandwidth we do not account. Line
-// memos held by the Hierarchy need no shoot-down: they are revalidated
-// against the tag array on every use.
+// them through its own traffic whose bandwidth we do not account.
 func (c *Cache) Invalidate() {
 	for i := range c.tags {
 		c.tags[i] = 0
@@ -323,29 +333,6 @@ func (c *Cache) Invalidate() {
 		c.recency[s] = c.fresh
 	}
 }
-
-// lineMemo is one entry of the per-(leaf, level) line "TLB" of the access
-// fast path: a cache line this leaf recently located at this level, and
-// the way it occupied. A memo is a hint, never trusted blindly — it is
-// revalidated against the cache's tag array on every use, so evictions,
-// invalidations and resets by any core sharing the cache are picked up
-// without explicit shoot-downs.
-type lineMemo struct {
-	// line holds line number + 1 (0 = empty), matching the tag encoding.
-	line uint64
-	way  int32
-}
-
-// memoWays is the number of memo entries per (leaf, level), direct-mapped
-// by the line's low bits. More than one entry matters because kernels
-// interleave several streams (matrix multiply walks a row, a column and an
-// accumulator): with a single entry the streams evict each other's memo on
-// every access and the fast path never fires. Four 16-byte entries keep
-// one (leaf, level) table inside a single host cache line.
-const (
-	memoWays = 4
-	memoMask = memoWays - 1
-)
 
 // Hierarchy is the full tree of caches plus the DRAM links of one machine.
 type Hierarchy struct {
@@ -359,9 +346,6 @@ type Hierarchy struct {
 	// (index 0 nil), precomputed so Access performs no tree-index
 	// arithmetic (Desc.NodeOf divisions) per probe.
 	paths [][]*Cache
-	// memo is the per-(leaf, level) same-line memo table, indexed
-	// (leaf*nl+lvl)*memoWays + (line & memoMask).
-	memo []lineMemo
 	// victims[lvl] is per-Access scratch carrying the victim way found by
 	// the probe to the fill pass. Safe to share across workers:
 	// the engine serializes all Access calls.
@@ -450,7 +434,6 @@ func New(desc *machine.Desc, space *mem.Space) *Hierarchy {
 		h.paths[leaf] = path
 		h.socket[leaf] = desc.NodeOf(1, leaf)
 	}
-	h.memo = make([]lineMemo, cores*nl*memoWays)
 	h.victims = make([]int, nl)
 	h.hitCost = make([]int64, nl)
 	for lvl := 1; lvl < nl; lvl++ {
@@ -472,50 +455,26 @@ func (h *Hierarchy) Caches(level int) []*Cache { return h.levels[level] }
 // returns the number of cycles the access costs the core. servedLevel is
 // the machine level that supplied the line (0 = DRAM).
 //
-// The common case — the leaf re-touching the cache line of its previous
-// access, still resident in its innermost cache — takes a memoized fast
-// path: the per-(leaf, level) lineMemo names the way directly, one tag
-// compare revalidates it, and the full probe/fill walk is skipped. The
-// state transition is identical to the general path (an innermost hit
-// refreshes LRU and dirty bits and fills nothing), so the fast path is
-// exact for inclusive and exclusive hierarchies alike.
+// The walk probes innermost (highest index) to outermost (level 1), one
+// find per level that yields either the hit way or the fill victim, so a
+// miss hands each level's victim to its fill without a second scan. The
+// common case, an innermost hit, costs one find and fills nothing: the
+// same transition RunScript's in-loop probe applies.
 //
 //schedlint:hotpath
 func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost int64, servedLevel int) {
 	nl := h.nl
 	path := h.paths[leaf]
-	inner := nl - 1
-	c := path[inner]
-	ln := uint64(a) >> c.blockShift
-	if m := &h.memo[(leaf*nl+inner)*memoWays+int(ln&memoMask)]; m.line == ln+1 && c.tags[m.way] == ln+1 {
-		w := int(m.way)
-		c.touch(w)
-		c.Stats.Hits++
-		if write {
-			c.dirty[w] = true
-			if inner > 1 {
-				// Propagate the dirty bit to the outermost resident copy
-				// so its eventual eviction is written back.
-				h.markDirtyOuter(leaf, a)
-			}
-		}
-		return h.hitCost[inner], inner
-	}
-
-	// Probe innermost (highest index) to outermost (level 1), one tag scan
-	// per level that yields either the hit way or the fill victim.
 	served := 0
-	for lvl := inner; lvl >= 1; lvl-- {
+	for lvl := nl - 1; lvl >= 1; lvl-- {
 		c := path[lvl]
-		ln := c.line(a)
-		way, victim := c.find(ln)
+		way, victim := c.find(c.line(a))
 		if way >= 0 {
 			c.touch(way)
 			if write {
 				c.dirty[way] = true
 			}
 			c.Stats.Hits++
-			h.memo[(leaf*nl+lvl)*memoWays+int(ln&memoMask)] = lineMemo{line: ln + 1, way: int32(way)}
 			served = lvl
 			break
 		}
@@ -554,8 +513,6 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 		for lvl := served + 1; lvl < nl; lvl++ {
 			c := path[lvl]
 			ev, dirtyEv := c.fillAt(a, write, h.victims[lvl])
-			ln := c.line(a)
-			h.memo[(leaf*nl+lvl)*memoWays+int(ln&memoMask)] = lineMemo{line: ln + 1, way: int32(h.victims[lvl])}
 			if lvl == 1 && dirtyEv {
 				h.writeback(now, ev)
 			}
@@ -565,21 +522,13 @@ func (h *Hierarchy) Access(leaf int, now int64, a mem.Addr, write bool) (cost in
 }
 
 // markDirtyOuter sets the dirty bit of a's line in leaf's outermost cache
-// if resident, without touching LRU state or counters, consulting the
-// level-1 memo before falling back to a set scan.
+// if resident, without touching LRU state or counters.
 //
 //schedlint:hotpath
 func (h *Hierarchy) markDirtyOuter(leaf int, a mem.Addr) {
 	c := h.paths[leaf][1]
-	ln := c.line(a)
-	m := &h.memo[(leaf*h.nl+1)*memoWays+int(ln&memoMask)]
-	if m.line == ln+1 && c.tags[m.way] == ln+1 {
-		c.dirty[m.way] = true
-		return
-	}
-	if way := c.findWay(ln); way >= 0 {
+	if way := c.findWay(c.line(a)); way >= 0 {
 		c.dirty[way] = true
-		*m = lineMemo{line: ln + 1, way: int32(way)}
 	}
 }
 
@@ -661,15 +610,12 @@ func (h *Hierarchy) HitsAt(level int) int64 {
 	return total
 }
 
-// Reset clears all caches, memos, link occupancy and DRAM counters.
+// Reset clears all caches, link occupancy and DRAM counters.
 func (h *Hierarchy) Reset() {
 	for _, lvl := range h.levels {
 		for _, c := range lvl {
 			c.Reset()
 		}
-	}
-	for i := range h.memo {
-		h.memo[i] = lineMemo{}
 	}
 	for i := range h.linkFree {
 		h.linkFree[i] = 0

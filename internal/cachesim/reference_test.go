@@ -11,9 +11,9 @@ import (
 
 // The reference model below restates the cache policy as naively as
 // possible — every set a slice of lines in recency order, most recent
-// first — so the optimized Hierarchy (line memos, recency words, the
-// RunScript interpreter) is checked against something that shares none of
-// its machinery.
+// first — so the optimized Hierarchy (recency words, most-recent-first
+// probes, the RunScript interpreter) is checked against something that
+// shares none of its machinery.
 
 type refLine struct {
 	line  uint64
@@ -208,7 +208,7 @@ func fuzzMachine(shape uint64) *machine.Desc {
 // FuzzCacheVsReference drives one op stream — accesses, single-cache
 // invalidations and whole-hierarchy resets — through the reference
 // model, through Hierarchy.Access, and through RunScript with Access on
-// memo misses (the engine's replay path), requiring identical costs,
+// innermost misses (the engine's replay path), requiring identical costs,
 // served levels and counters after every op.
 func FuzzCacheVsReference(f *testing.F) {
 	rng := xrand.New(5)
@@ -285,6 +285,189 @@ func FuzzCacheVsReference(f *testing.F) {
 						h.DRAMAccesses, h.Writebacks, h.StallCycles, h.RemoteHits,
 						ref.DRAMAccesses, ref.Writebacks, ref.StallCycles, ref.RemoteHits)
 				}
+			}
+		}
+	})
+}
+
+// refOpAt is one decoded op of a fuzzed script, a work charge or an
+// access, with the byte offset where the op ends.
+type refOpAt struct {
+	access bool
+	work   int64
+	addr   int64
+	write  bool
+	end    int64
+}
+
+// fuzzScript is one strand's script: its leaf, its op bytes, the same ops
+// decoded, and an optional single-cache flush applied after it.
+type fuzzScript struct {
+	leaf    int
+	ops     []byte
+	ref     []refOpAt
+	flush   [2]byte // level and node operands of the flush
+	flushes bool
+}
+
+// fuzzScripts splits a fuzzed byte stream into scripts, three bytes per
+// op. Kind op%32: 0 ends the script with a flush of one cache, 1 ends it
+// and switches to leaf b1, 2..5 is a work charge of b1 cycles, anything
+// else an access (write if op&16) to the same four-page address space as
+// FuzzCacheVsReference.
+func fuzzScripts(d *machine.Desc, in []byte) []fuzzScript {
+	var out []fuzzScript
+	cur := fuzzScript{}
+	prev := int64(0)
+	cut := func() {
+		out = append(out, cur)
+		cur = fuzzScript{leaf: cur.leaf}
+		prev = 0
+	}
+	for k := 0; k+3 <= len(in); k += 3 {
+		op, b1, b2 := in[k], in[k+1], in[k+2]
+		switch kind := op % 32; {
+		case kind == 0:
+			cur.flush, cur.flushes = [2]byte{b1, b2}, true
+			cut()
+		case kind == 1:
+			cut()
+			cur.leaf = int(b1) % d.NumCores()
+		case kind <= 5:
+			cur.ops = opcode.AppendUvarint(cur.ops, uint64(b1)<<opcode.TagBits|opcode.Work)
+			cur.ref = append(cur.ref, refOpAt{work: int64(b1), end: int64(len(cur.ops))})
+		default:
+			a := int64(b2>>6)*mem.PageSize | int64(b1)<<7 | int64(b2>>4&3)<<3
+			tag := uint64(opcode.Read)
+			if op&16 != 0 {
+				tag = opcode.Write
+			}
+			cur.ops = opcode.AppendUvarint(cur.ops, opcode.Zigzag(a-prev)<<opcode.TagBits|tag)
+			cur.ref = append(cur.ref, refOpAt{access: true, addr: a, write: op&16 != 0, end: int64(len(cur.ops))})
+			prev = a
+		}
+	}
+	return append(out, cur)
+}
+
+// FuzzScriptVsReference runs multi-op scripts through RunScript with a
+// finite chunk budget, in the shape of the engine's inline interpreter
+// (sim.runInline): each call runs until a budget stop or an innermost
+// miss, a miss takes Access, and an exhausted budget is re-armed. At every
+// return it replays the ops the call consumed through the reference model
+// and requires the same costs, served levels, cache counters and DRAM
+// counters. Work charges of 0 cycles and budgets as small as one cycle
+// put the stops in the middle of runs of hits.
+func FuzzScriptVsReference(f *testing.F) {
+	rng := xrand.New(7)
+	for i := 0; i < 12; i++ {
+		ops := make([]byte, 3*2000)
+		for j := range ops {
+			ops[j] = byte(rng.Uint64())
+		}
+		f.Add(rng.Uint64(), uint8(rng.Uint64()), ops)
+	}
+	// Interleaved page-aligned streams, as RRM's strands issue them: read
+	// line i of page 0 and write line i of page 1, pass after pass over a
+	// few lines, so both streams become resident in the innermost cache
+	// and share its sets.
+	for _, lines := range []int{2, 4, 8, 16} {
+		var ops []byte
+		for pass := 0; pass < 4; pass++ {
+			for i := 0; i < lines; i++ {
+				ops = append(ops, 6, byte(i), 0, 6|16, byte(i), 1<<6, 2, 1, 0)
+			}
+		}
+		for _, budget := range []uint8{0, 3, 40, 255} {
+			f.Add(rng.Uint64(), budget, ops)
+		}
+	}
+	f.Fuzz(func(t *testing.T, shape uint64, budget uint8, in []byte) {
+		d := fuzzMachine(shape)
+		if err := d.Validate(); err != nil {
+			t.Fatalf("fuzzMachine built an invalid machine: %v", err)
+		}
+		sp := mem.NewSpace(d.Links, d.Links)
+		ref, h := newRefHier(d, sp), New(d, sp)
+		inner := d.NumLevels() - 1
+		chunk := 1 + int64(budget)
+		check := func(where string) {
+			t.Helper()
+			for lvl := 1; lvl <= inner; lvl++ {
+				for n, rc := range ref.caches[lvl] {
+					if s := h.Caches(lvl)[n].Stats; s != rc.stats {
+						t.Fatalf("%s: L%d[%d] stats %+v, reference %+v", where, lvl, n, s, rc.stats)
+					}
+				}
+			}
+			if h.DRAMAccesses != ref.DRAMAccesses || h.Writebacks != ref.Writebacks ||
+				h.StallCycles != ref.StallCycles || h.RemoteHits != ref.RemoteHits {
+				t.Fatalf("%s: DRAM/writebacks/stall/remote %d/%d/%d/%d, reference %d/%d/%d/%d", where,
+					h.DRAMAccesses, h.Writebacks, h.StallCycles, h.RemoteHits,
+					ref.DRAMAccesses, ref.Writebacks, ref.StallCycles, ref.RemoteHits)
+			}
+		}
+		var clock int64
+		for si, s := range fuzzScripts(d, in) {
+			ops, end := s.ops, int64(len(s.ops))
+			ip, prev, next := int64(0), int64(0), 0
+			left := chunk
+			for ip < end {
+				nip, nprev, spent, miss := h.RunScript(s.leaf, ops, ip, end, prev, left)
+				// The reference consumes the same ops: each work charge
+				// spends its cycles, each access must be an innermost hit.
+				var want, last int64
+				for ; next < len(s.ref) && s.ref[next].end <= nip; next++ {
+					op := s.ref[next]
+					last = op.work
+					if op.access {
+						c, served := ref.access(s.leaf, clock+want, mem.Addr(op.addr), op.write)
+						if served != inner {
+							t.Fatalf("script %d op %d: RunScript consumed an access the reference served at level %d", si, next, served)
+						}
+						last = c
+					}
+					want += last
+				}
+				if spent != want {
+					t.Fatalf("script %d: RunScript spent %d up to byte %d, reference %d", si, spent, nip, want)
+				}
+				ip, prev, clock, left = nip, nprev, clock+spent, left-spent
+				check("after RunScript")
+				if left <= 0 {
+					if left+last <= 0 {
+						t.Fatalf("script %d: budget ran out before the last op of the call", si)
+					}
+					left = chunk
+					continue
+				}
+				if !miss {
+					if ip != end {
+						t.Fatalf("script %d: RunScript stopped at byte %d of %d with budget left and no miss", si, ip, end)
+					}
+					continue
+				}
+				op := s.ref[next]
+				next++
+				costR, servedR := ref.access(s.leaf, clock, mem.Addr(op.addr), op.write)
+				if servedR == inner {
+					t.Fatalf("script %d op %d: RunScript handed back an innermost hit", si, next-1)
+				}
+				costA, servedA := h.Access(s.leaf, clock, mem.Addr(op.addr), op.write)
+				if costA != costR || servedA != servedR {
+					t.Fatalf("script %d op %d: Access cost/level %d/%d, reference %d/%d", si, next-1, costA, servedA, costR, servedR)
+				}
+				ip, prev, clock, left = op.end, op.addr, clock+costA, left-costA
+				check("after Access")
+				if left <= 0 {
+					left = chunk
+				}
+			}
+			if s.flushes {
+				lvl := 1 + int(s.flush[0])%inner
+				node := int(s.flush[1]) % d.NodesAt(lvl)
+				clear(ref.caches[lvl][node].sets)
+				h.Caches(lvl)[node].Invalidate()
 			}
 		}
 	})

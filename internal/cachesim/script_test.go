@@ -83,7 +83,7 @@ func TestRunScriptMatchesAccess(t *testing.T) {
 				now += c
 			}
 
-			// Fast path: RunScript runs, Access on memo misses, re-entering
+			// Fast path: RunScript runs, Access on innermost misses, re-entering
 			// with a fresh budget at each exhaustion like the engine does.
 			var costB int64
 			ip, end, prev := int64(0), int64(len(ops)), int64(0)
@@ -151,6 +151,70 @@ func TestRunScriptMatchesAccess(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// rrmScript encodes one pass of RRM's map strand, b[i] = a[i] + 1 for i
+// in [0, n): a read of a[i], then a write of b[i], delta-encoded from
+// address 0 the way dagtrace records it.
+func rrmScript(a, b mem.Addr, n int) []byte {
+	var ops []byte
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		for _, op := range []struct {
+			addr int64
+			tag  uint64
+		}{{int64(a) + 8*int64(i), opcode.Read}, {int64(b) + 8*int64(i), opcode.Write}} {
+			ops = opcode.AppendUvarint(ops, opcode.Zigzag(op.addr-prev)<<opcode.TagBits|op.tag)
+			prev = op.addr
+		}
+	}
+	return ops
+}
+
+// TestRunScriptTwoPageAlignedStreams pins RRM's access pattern to the
+// fast path: a[i] and b[i] live on page-aligned arrays, so they share
+// their low line bits and, in every cache, their set. Once a pass's lines
+// are resident in L1, a second pass must run inside RunScript from the
+// first op to the last — every access an innermost hit, none handed back
+// as a miss. It runs the 64-hyperthread Xeon at the page size and cache
+// scale of each profile (quick ÷256, ×16, ×4, ×1), with arrays of half
+// the L1 each, which fill every L1 set exactly.
+func TestRunScriptTwoPageAlignedStreams(t *testing.T) {
+	for _, scale := range []int64{256, 16, 4, 1} {
+		d := machine.Scaled(machine.Xeon7560HT(), scale)
+		sp := mem.NewSpacePaged(d.Links, d.Links, max(int64(2<<20)/scale, 4096))
+		h := New(d, sp)
+		n := int(d.Levels[d.NumLevels()-1].Size / 16)
+		a, b := sp.NewF64("a", n), sp.NewF64("b", n)
+		ops := rrmScript(a.Base, b.Base, n)
+		end := int64(len(ops))
+
+		// First pass: the engine's replay loop, with the cold misses
+		// taking the general walk.
+		ip, prev, now := int64(0), int64(0), int64(0)
+		for ip < end {
+			nip, nprev, spent, miss := h.RunScript(0, ops, ip, end, prev, 1<<62)
+			ip, prev, now = nip, nprev, now+spent
+			if !miss {
+				continue
+			}
+			v, k := opcode.Uvarint(ops[ip:])
+			ip += int64(k)
+			prev += opcode.Unzigzag(v >> opcode.TagBits)
+			c, _ := h.Access(0, now, mem.Addr(prev), v&opcode.TagMask == opcode.Write)
+			now += c
+		}
+
+		l1 := h.CacheAt(d.NumLevels()-1, 0)
+		hits := l1.Stats.Hits
+		nip, _, spent, miss := h.RunScript(0, ops, 0, end, 0, 1<<62)
+		if miss || nip != end {
+			t.Fatalf("scale %d: second pass stopped at op byte %d of %d (miss=%v); every access is an L1 hit", scale, nip, end, miss)
+		}
+		if got := l1.Stats.Hits - hits; got != int64(2*n) || spent != int64(2*n)*d.Levels[d.NumLevels()-1].HitCost {
+			t.Errorf("scale %d: second pass counted %d L1 hits costing %d, want %d hits", scale, got, spent, 2*n)
 		}
 	}
 }

@@ -101,12 +101,14 @@ func (e *WriteError) Unwrap() error { return e.Err }
 
 // NewCache returns a cache storing recordings as files under dir,
 // created here (an error if it cannot be), or a memory-only cache when
-// dir is empty. frameSize 0 selects DefaultFrameSize.
+// dir is empty. frameSize 0 selects DefaultFrameSize. Opening a directory
+// removes its stale temporary files (removeStaleTemps).
 func NewCache(dir string, frameSize int64) (*Cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("dagtrace: trace cache: %w", err)
 		}
+		removeStaleTemps(dir)
 	}
 	return &Cache{dir: dir, frameSize: frameSize, create: createTemp, entries: make(map[string]*entry)}, nil
 }
@@ -116,7 +118,6 @@ func NewCache(dir string, frameSize int64) (*Cache, error) {
 // watchdog-abandoned attempt still running while a resumed process
 // records the key again — and each must rename only its own bytes.
 func createTemp(path string) (io.WriteCloser, string, error) {
-	removeStaleTemps(path)
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return nil, "", err
@@ -130,23 +131,22 @@ func createTemp(path string) (io.WriteCloser, string, error) {
 //schedlint:ignore nondeterminism host-side file age for temp-file cleanup; never reaches simulation state
 var processStart = time.Now()
 
-// removeStaleTemps deletes path's temporary files that no attempt of this
-// process can own — a recording killed mid-write (a crash before a
-// resume) leaves one that is otherwise never removed. A file modified
-// since this process started may belong to a live attempt and stays.
-func removeStaleTemps(path string) {
-	dir, base := filepath.Split(path)
+// removeStaleTemps deletes dir's temporary files that no live recording
+// can own: a recording killed mid-write (a crash before a resume) leaves
+// one that nothing else removes, whether or not its key is ever recorded
+// again. A file modified since this process started may belong to a live
+// attempt of another process sharing the directory, and stays.
+func removeStaleTemps(dir string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasPrefix(name, base+".") || !strings.HasSuffix(name, ".tmp") {
+		if !strings.HasSuffix(ent.Name(), ".tmp") {
 			continue
 		}
 		if fi, err := ent.Info(); err == nil && fi.ModTime().Before(processStart) {
-			os.Remove(filepath.Join(dir, name))
+			os.Remove(filepath.Join(dir, ent.Name()))
 		}
 	}
 }

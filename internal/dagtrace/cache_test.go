@@ -274,17 +274,19 @@ func TestNewCache(t *testing.T) {
 	}
 }
 
-// TestCacheRemovesStaleTemps: reserving a key removes that key's
-// temporary files left by a process killed mid-recording, but not one
-// modified since this process started (it may be a live attempt's), nor
-// another key's.
+// TestCacheRemovesStaleTemps: opening a cache directory removes every
+// temporary file last modified before this process started — left by a
+// process killed mid-recording, whether or not its key is ever reserved
+// again — but not one modified since (it may be a live attempt's), nor a
+// finished recording.
 func TestCacheRemovesStaleTemps(t *testing.T) {
 	dir := t.TempDir()
 	c := newCache(t, dir, 1<<10)
 	p := c.path("k")
-	stale, live, other := p+".123.tmp", p+".456.tmp", c.path("other")+".789.tmp"
+	stale, otherStale, live := p+".123.tmp", c.path("never-again")+".789.tmp", p+".456.tmp"
+	fill(t, reserve(t, c, "k"), 256)
 	old := processStart.Add(-time.Hour)
-	for _, f := range []string{stale, live, other} {
+	for _, f := range []string{stale, otherStale, live} {
 		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -294,11 +296,13 @@ func TestCacheRemovesStaleTemps(t *testing.T) {
 			}
 		}
 	}
-	fill(t, reserve(t, c, "k"), 256)
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale temp of the key survived (stat err %v)", err)
+	newCache(t, dir, 1<<10)
+	for _, f := range []string{stale, otherStale} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived (stat err %v)", filepath.Base(f), err)
+		}
 	}
-	for _, f := range []string{live, other} {
+	for _, f := range []string{live, p} {
 		if _, err := os.Stat(f); err != nil {
 			t.Errorf("%s removed: %v", filepath.Base(f), err)
 		}

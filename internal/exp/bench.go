@@ -47,8 +47,8 @@ type BenchReport struct {
 	Benchmarks    []BenchEntry `json:"benchmarks"`
 }
 
-// BenchAccessHit measures the cachesim memo fast path: the same L1 line
-// re-touched every access.
+// BenchAccessHit measures the cachesim fast path, an innermost hit: the
+// same L1 line re-touched every access.
 func BenchAccessHit(b *testing.B) {
 	d := machine.Xeon7560()
 	sp := mem.NewSpace(d.Links, d.Links)
@@ -59,6 +59,32 @@ func BenchAccessHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(0, int64(i), a, false)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
+}
+
+// BenchAccessTwoStreams measures RRM's access pattern on the fast path:
+// read a[i], write b[i], on two page-aligned arrays resident in L1, so
+// a[i] and b[i] share a set and no access re-touches the previous line.
+func BenchAccessTwoStreams(b *testing.B) {
+	d := machine.Xeon7560()
+	sp := mem.NewSpace(d.Links, d.Links)
+	h := cachesim.New(d, sp)
+	const n = 1 << 10 // 8KB per array
+	x, y := sp.Alloc("a", 8*n), sp.Alloc("b", 8*n)
+	for i := 0; i < n; i++ {
+		h.Access(0, 0, x+mem.Addr(8*i), false)
+		h.Access(0, 0, y+mem.Addr(8*i), true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := mem.Addr(8 * (i / 2 % n))
+		if i&1 == 0 {
+			h.Access(0, int64(i), x+off, false)
+		} else {
+			h.Access(0, int64(i), y+off, true)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
 }
@@ -365,6 +391,7 @@ var benchSuite = []struct {
 	fn   func(*testing.B)
 }{
 	{"access_hit", BenchAccessHit},
+	{"access_two_streams", BenchAccessTwoStreams},
 	{"access_stream", BenchAccessStream},
 	{"access_random", BenchAccessRandom},
 	{"engine_parallel_for", BenchEngineParallelFor},

@@ -6,8 +6,9 @@ package sim
 // instead of resuming the worker goroutine to call Run. The simulated
 // state transitions are identical to the goroutine path — runs of work
 // ops and innermost-cache hits execute inside cachesim.RunScript (which
-// replicates the Access fast path state change per op), memo-missing
-// accesses take the ordinary Hierarchy.Access walk, and the chunk-budget
+// probes the innermost set itself and applies the Access state change per
+// op), accesses that miss the innermost cache take the ordinary
+// Hierarchy.Access walk, and the chunk-budget
 // decision of wctx.pause is replicated term for term — so results stay
 // bit-identical; only the host-side channel handoff, goroutine switches
 // and per-op call overhead disappear.
@@ -48,13 +49,13 @@ func (e *engine) beginInline(w *worker, j job.Job) {
 //
 // Equivalence with the goroutine path, op by op:
 //
-//   - runs of work ops and memo-hitting accesses advance inside
-//     cachesim.RunScript, which applies the same state transition as
-//     wctx.Work / wctx.Access on an innermost hit and stops exactly on
+//   - runs of work ops and accesses that hit the innermost cache advance
+//     inside cachesim.RunScript, which applies the same state transition
+//     as wctx.Work / wctx.Access on an innermost hit and stops exactly on
 //     the op where cumulative cost crosses the chunk budget — the same
 //     op on which wctx.spend would have observed chunkLeft <= 0;
-//   - a memo-missing access takes h.Access, like the general path of
-//     wctx.Access;
+//   - RunScript hands back only an access that misses the innermost
+//     cache; it takes h.Access, like the general path of wctx.Access;
 //   - the chunk decision replicates wctx.pause: a virtual (fast-path)
 //     boundary records the pop and continues with a fresh budget; a real
 //     boundary saves the decode position where pause would have parked
@@ -105,7 +106,7 @@ func (e *engine) runInline(w *worker) bool {
 		if !miss {
 			continue // stream ended; the loop condition exits
 		}
-		// Memo-missing access: decode it and take the general walk.
+		// Innermost miss: decode it and take the general walk.
 		var v uint64
 		var vshift uint
 		for {
